@@ -33,12 +33,14 @@ DOC_FILES = sorted(
     + list(REPO.glob("docs/*.md")))
 
 # Directories whose sources define the CLI surface documented in the docs.
-SOURCE_DIRS = ["src", "bench", "tests", "examples", "scripts"]
+SOURCE_DIRS = ["src", "bench", "tests", "examples", "scripts", "perfbench"]
 SOURCE_SUFFIXES = {".cpp", ".h", ".py", ".sh", ".txt"}  # .txt: CMakeLists
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9][a-z0-9_-]*)")
-BINARY_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
+# A leading dot names a hidden directory (the benchmark's `.bench_build/`),
+# not a binary.
+BINARY_RE = re.compile(r"(?<!\.)\b(bench_[a-z0-9_]+)\b")
 EXAMPLE_RE = re.compile(r"examples/([a-z0-9_]+)\b")
 SCRIPT_RE = re.compile(r"scripts/([a-z0-9_]+\.(?:py|sh))\b")
 

@@ -169,4 +169,14 @@ if [[ "${BUILD_DIR}" == "build" ]]; then
   echo "tier1 OK (build-nosimd fallback)"
 fi
 
+# Benchmark smoke job (default config only): perfbench builds its own
+# Release tree (.bench_build/perfbench) and, on a 100-node network, checks
+# that every BENCHMARK.json metric prints with its unit, that the digest gate
+# accepts the recorded seed and rejects another, and that bad flags never
+# start a run — so the benchmark's build and flag handling stay green.
+if [[ "${BUILD_DIR}" == "build" ]]; then
+  python3 perfbench/smoke_test.py
+  echo "benchmark smoke OK"
+fi
+
 echo "tier1 OK (${BUILD_DIR})"

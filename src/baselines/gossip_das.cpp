@@ -135,7 +135,7 @@ void GossipDasNode::start_sampling() {
         q.round = round;
         q.redraw = redraw;
         record_.messages += 1;
-        record_.bytes += net::wire_size(net::Message(q));
+        record_.bytes += net::wire_size(q);
         transport_.send(self_, target, std::move(q));
       });
   check_completion();
@@ -143,7 +143,7 @@ void GossipDasNode::start_sampling() {
 
 void GossipDasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
   record_.messages += 1;
-  record_.bytes += net::wire_size(net::Message(msg));
+  record_.bytes += net::wire_size(msg);
   if (!fetcher_->started() && !fallback_armed_) {
     fallback_armed_ = true;
     const std::uint64_t generation = generation_;
@@ -168,21 +168,15 @@ void GossipDasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
     reply.slot = slot_;
     reply.cells = std::move(available);
     record_.messages += 1;
-    record_.bytes += net::wire_size(net::Message(reply));
+    record_.bytes += net::wire_size(reply);
     transport_.send(self_, from, std::move(reply));
   }
-  if (!remaining.empty()) {
-    PendingQuery pq;
-    pq.requester = from;
-    pq.cells = remaining;
-    pq.remaining = std::move(remaining);
-    pending_.push_back(std::move(pq));
-  }
+  if (!remaining.empty()) pending_.add(from, remaining);
 }
 
 void GossipDasNode::on_reply(net::NodeIndex from, net::CellReplyMsg&& msg) {
   record_.messages += 1;
-  record_.bytes += net::wire_size(net::Message(msg));
+  record_.bytes += net::wire_size(msg);
   ingest(msg.cells, from, /*is_reply=*/true);
 }
 
@@ -194,34 +188,20 @@ void GossipDasNode::ingest(std::span<const net::CellId> cells,
     for (const auto cell : result.obtained) {
       missing_samples_.erase(cell.packed());
     }
-    serve_pending();
+    for (const auto id : pending_.on_obtained(result.obtained)) {
+      net::CellReplyMsg reply;
+      reply.slot = slot_;
+      reply.cells = pending_.cells(id);
+      record_.messages += 1;
+      record_.bytes += net::wire_size(reply);
+      transport_.send(self_, pending_.requester(id), std::move(reply));
+    }
   }
   if (is_reply) {
     fetcher_->on_reply(reply_from, result.new_cells, result.duplicates,
                        result.reconstructed);
   }
   check_completion();
-}
-
-void GossipDasNode::serve_pending() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    auto& pq = *it;
-    pq.remaining.erase(
-        std::remove_if(pq.remaining.begin(), pq.remaining.end(),
-                       [&](net::CellId c) { return custody_.has_cell(c); }),
-        pq.remaining.end());
-    if (pq.remaining.empty()) {
-      net::CellReplyMsg reply;
-      reply.slot = slot_;
-      reply.cells = std::move(pq.cells);
-      record_.messages += 1;
-      record_.bytes += net::wire_size(net::Message(reply));
-      transport_.send(self_, pq.requester, std::move(reply));
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void GossipDasNode::check_completion() {

@@ -8,6 +8,7 @@
 #include "core/custody.h"
 #include "core/fetcher.h"
 #include "core/params.h"
+#include "core/query_buffer.h"
 #include "core/view.h"
 #include "gossip/gossipsub.h"
 #include "net/transport.h"
@@ -73,7 +74,6 @@ class GossipDasNode {
   void start_sampling();
   void ingest(std::span<const net::CellId> cells, net::NodeIndex reply_from,
               bool is_reply);
-  void serve_pending();
   void check_completion();
 
   sim::Engine& engine_;
@@ -95,12 +95,8 @@ class GossipDasNode {
   std::vector<net::CellId> samples_;
   std::unordered_set<std::uint32_t> missing_samples_;
   std::shared_ptr<core::AdaptiveFetcher> fetcher_;
-  struct PendingQuery {
-    net::NodeIndex requester;
-    std::vector<net::CellId> cells;
-    std::vector<net::CellId> remaining;
-  };
-  std::vector<PendingQuery> pending_;
+  /// Queries waiting for cells not yet held (served like PandasNode's).
+  core::QueryBuffer pending_;
   bool fallback_armed_ = false;
   SlotRecord record_;
 };

@@ -36,7 +36,7 @@ Builder::SeedingReport Builder::seed(std::uint64_t slot,
     }
     msg.boost = plan.boost_for(assignment.of(node));
 
-    const std::uint64_t bytes = net::wire_size(net::Message(msg));
+    const std::uint64_t bytes = net::wire_size(msg);
     report.messages += 1;
     report.cell_copies += msg.cells.size();
     report.bytes += bytes;

@@ -24,6 +24,7 @@ void PandasNode::begin_slot(std::uint64_t slot) {
   ++slot_generation_;
   custody_ = CustodyState(params_, table_->of(self_));
   pending_.clear();
+  pending_ctx_.clear();
   fallback_armed_ = false;
   seed_received_ = false;
   record_ = SlotRecord{};
@@ -255,14 +256,14 @@ void PandasNode::start_fetch(net::BoostMap boost) {
         q.cause = obs::CauseId{slot_, self_, cause_seq_++};
         q.round = round;
         q.redraw = redraw;
-        count_fetch_traffic(net::Message(q));
+        count_fetch_traffic(net::wire_size(q));
         transport_.send(self_, target, std::move(q));
       });
   check_completion();
 }
 
 void PandasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
-  count_fetch_traffic(net::Message(msg));
+  count_fetch_traffic(net::wire_size(msg));
   obs::emit(trace_, obs::EventType::kQueryReceived, engine_.now(), from,
             static_cast<std::int64_t>(msg.cells.size()));
   // Capture the query's causal context now: replies (immediate or buffered)
@@ -327,17 +328,14 @@ void PandasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
   if (!remaining.empty()) {
     obs::emit(trace_, obs::EventType::kQueryBuffered, engine_.now(), from,
               static_cast<std::int64_t>(remaining.size()));
-    PendingQuery pq;
-    pq.requester = from;
-    pq.cells = remaining;
-    pq.remaining = std::move(remaining);
-    pq.ctx = ctx;
-    pending_.push_back(std::move(pq));
+    const auto id = pending_.add(from, remaining);
+    pending_ctx_.resize(id + 1);
+    pending_ctx_[id] = ctx;
   }
 }
 
 void PandasNode::on_reply(net::NodeIndex from, net::CellReplyMsg&& msg) {
-  count_fetch_traffic(net::Message(msg));
+  count_fetch_traffic(net::wire_size(msg));
   obs::emit(trace_, obs::EventType::kReplyReceived, engine_.now(), from,
             static_cast<std::int64_t>(msg.cells.size()));
   if (causal_ != nullptr) {
@@ -430,26 +428,15 @@ CustodyState::AddResult PandasNode::ingest(std::span<const net::CellId> cells) {
         missing_samples_.erase(cell.packed());
       }
     }
-    serve_pending();
+    // Buffered queries whose last waited cell just arrived, answered in
+    // arrival order.
+    for (const auto id : pending_.on_obtained(result.obtained)) {
+      send_reply(pending_.requester(id), pending_.cells(id), pending_ctx_[id],
+                 /*buffered=*/true);
+    }
   }
   check_completion();
   return result;
-}
-
-void PandasNode::serve_pending() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    auto& pq = *it;
-    pq.remaining.erase(
-        std::remove_if(pq.remaining.begin(), pq.remaining.end(),
-                       [&](net::CellId c) { return custody_.has_cell(c); }),
-        pq.remaining.end());
-    if (pq.remaining.empty()) {
-      send_reply(pq.requester, std::move(pq.cells), pq.ctx, /*buffered=*/true);
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void PandasNode::send_reply(net::NodeIndex to, std::vector<net::CellId> cells,
@@ -481,7 +468,7 @@ void PandasNode::send_reply(net::NodeIndex to, std::vector<net::CellId> cells,
       if (u < profile_->corrupt_rate) tag ^= 0x6261644b5a4721ULL;  // "badKZG!"
     }
   }
-  count_fetch_traffic(net::Message(reply));
+  count_fetch_traffic(net::wire_size(reply));
   transport_.send(self_, to, std::move(reply));
 }
 
@@ -499,9 +486,9 @@ void PandasNode::check_completion() {
   }
 }
 
-void PandasNode::count_fetch_traffic(const net::Message& msg) {
+void PandasNode::count_fetch_traffic(std::uint32_t wire_bytes) {
   record_.fetch_messages += 1;
-  record_.fetch_bytes += net::wire_size(msg);
+  record_.fetch_bytes += wire_bytes;
 }
 
 }  // namespace pandas::core

@@ -8,6 +8,7 @@
 #include "core/custody.h"
 #include "core/fetcher.h"
 #include "core/params.h"
+#include "core/query_buffer.h"
 #include "core/reputation.h"
 #include "core/rtt.h"
 #include "core/view.h"
@@ -98,6 +99,10 @@ class PandasNode {
   [[nodiscard]] bool sampled() const noexcept {
     return record_.sampling_time.has_value();
   }
+  /// Queries buffered until their cells are held (never NACKed, §7).
+  [[nodiscard]] std::size_t buffered_queries() const noexcept {
+    return pending_.pending();
+  }
   /// Cross-slot peer reputation (drives fetch-path hardening when
   /// params.reputation is on).
   [[nodiscard]] const PeerReputation& reputation() const noexcept {
@@ -127,13 +132,6 @@ class PandasNode {
     obs::HopTiming hop{};  ///< the query's transit, seen at this server
   };
 
-  struct PendingQuery {
-    net::NodeIndex requester = 0;
-    std::vector<net::CellId> cells;      // full original request
-    std::vector<net::CellId> remaining;  // still unavailable
-    QueryContext ctx;
-  };
-
   void on_seed(net::NodeIndex from, net::SeedMsg&& msg);
   void on_query(net::NodeIndex from, net::CellQueryMsg&& msg);
   void on_reply(net::NodeIndex from, net::CellReplyMsg&& msg);
@@ -143,11 +141,11 @@ class PandasNode {
   /// Ingests cells into custody; updates fetch set, samples, pending
   /// queries, and completion records. Returns the custody AddResult.
   CustodyState::AddResult ingest(std::span<const net::CellId> cells);
-  void serve_pending();
   void check_completion();
   void send_reply(net::NodeIndex to, std::vector<net::CellId> cells,
                   const QueryContext& ctx, bool buffered = false);
-  void count_fetch_traffic(const net::Message& msg);
+  /// Charges one fetch-phase message of `wire_bytes` (net::wire_size).
+  void count_fetch_traffic(std::uint32_t wire_bytes);
   /// Verifies proof tags against crypto::sim_cell_tag; strips cells that
   /// fail (or all of them when tags are missing) and charges `from`'s
   /// reputation. Returns the stripped cells so the fetch path can re-query
@@ -179,7 +177,10 @@ class PandasNode {
   std::vector<net::CellId> samples_;
   std::unordered_set<std::uint32_t> missing_samples_;  // packed CellIds
   std::shared_ptr<AdaptiveFetcher> fetcher_;
-  std::vector<PendingQuery> pending_;
+  /// Queries waiting for cells not yet held, and their causal contexts
+  /// (indexed by QueryBuffer::QueryId).
+  QueryBuffer pending_;
+  std::vector<QueryContext> pending_ctx_;
   /// Per-line progress tracking for the stagnation-driven fetch-set growth.
   struct TopUpProgress {
     std::uint32_t count = 0;

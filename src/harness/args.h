@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -20,17 +23,36 @@ class Args {
     return false;
   }
 
+  /// The flag's value as a whole base-10 integer. A malformed or
+  /// out-of-range value ("1k", "3.5", "", 2^63) prints `<flag>: bad value
+  /// '<v>'` to stderr and exits 2 instead of running with a guessed number.
   [[nodiscard]] std::int64_t get_int(const std::string& flag,
                                      std::int64_t fallback) const {
     for (int i = 1; i + 1 < argc_; ++i) {
-      if (flag == argv_[i]) return std::atoll(argv_[i + 1]);
+      if (flag != argv_[i]) continue;
+      const char* v = argv_[i + 1];
+      char* end = nullptr;
+      errno = 0;
+      const long long x = std::strtoll(v, &end, 10);
+      if (end == v || *end != '\0' || errno == ERANGE) bad_value(flag, v);
+      return x;
     }
     return fallback;
   }
 
+  /// The flag's value as a whole finite number; malformed or out-of-range
+  /// values exit 2 like get_int().
   [[nodiscard]] double get_double(const std::string& flag, double fallback) const {
     for (int i = 1; i + 1 < argc_; ++i) {
-      if (flag == argv_[i]) return std::atof(argv_[i + 1]);
+      if (flag != argv_[i]) continue;
+      const char* v = argv_[i + 1];
+      char* end = nullptr;
+      errno = 0;
+      const double x = std::strtod(v, &end);
+      if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(x)) {
+        bad_value(flag, v);
+      }
+      return x;
     }
     return fallback;
   }
@@ -44,6 +66,11 @@ class Args {
   }
 
  private:
+  [[noreturn]] static void bad_value(const std::string& flag, const char* v) {
+    std::fprintf(stderr, "%s: bad value '%s'\n", flag.c_str(), v);
+    std::exit(2);
+  }
+
   int argc_;
   char** argv_;
 };

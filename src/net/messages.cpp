@@ -102,6 +102,18 @@ std::uint32_t wire_size(const Message& msg) noexcept {
   return std::visit(WireSizeVisitor{}, msg);
 }
 
+std::uint32_t wire_size(const SeedMsg& msg) noexcept {
+  return WireSizeVisitor{}(msg);
+}
+
+std::uint32_t wire_size(const CellQueryMsg& msg) noexcept {
+  return WireSizeVisitor{}(msg);
+}
+
+std::uint32_t wire_size(const CellReplyMsg& msg) noexcept {
+  return WireSizeVisitor{}(msg);
+}
+
 // message_class() below decodes the variant index with range comparisons, so
 // it is only correct while the alternatives keep their declared order. Pin
 // every index (and the total count) at compile time: reordering or inserting

@@ -241,6 +241,12 @@ inline constexpr std::size_t kMsgClassCount = 5;
 /// Bytes this message would occupy on the wire (excluding UDP/IP framing,
 /// which the transport adds per packet).
 [[nodiscard]] std::uint32_t wire_size(const Message& msg) noexcept;
+/// Typed overloads for the fetch-path messages, so accounting code can size a
+/// message without copying it into a Message. Same rules as the variant
+/// overload (one shared visitor).
+[[nodiscard]] std::uint32_t wire_size(const SeedMsg& msg) noexcept;
+[[nodiscard]] std::uint32_t wire_size(const CellQueryMsg& msg) noexcept;
+[[nodiscard]] std::uint32_t wire_size(const CellReplyMsg& msg) noexcept;
 
 /// Number of data cells the message carries (0 for control messages).
 /// Cell-carrying messages degrade gracefully under packet loss: individual

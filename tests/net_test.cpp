@@ -28,6 +28,7 @@ TEST(Messages, WireSizeCellReply) {
   reply.cells.resize(10);
   // 10 cells of 560 B each + header.
   EXPECT_EQ(wire_size(Message(reply)), kMsgHeaderBytes + 10 * kCellWireBytes);
+  EXPECT_EQ(wire_size(reply), wire_size(Message(reply)));  // typed overload
 }
 
 TEST(Messages, WireSizeQueryIsSmall) {
@@ -35,6 +36,7 @@ TEST(Messages, WireSizeQueryIsSmall) {
   q.cells.resize(73);
   EXPECT_EQ(wire_size(Message(q)), kMsgHeaderBytes + 73 * kCellIdWireBytes);
   EXPECT_LT(wire_size(Message(q)), kPacketPayloadBytes);  // one packet
+  EXPECT_EQ(wire_size(q), wire_size(Message(q)));
 }
 
 TEST(Messages, WireSizeSeedIncludesSignatureAndBoost) {
@@ -49,6 +51,7 @@ TEST(Messages, WireSizeSeedIncludesSignatureAndBoost) {
   EXPECT_EQ(wire_size(Message(seed)),
             kMsgHeaderBytes + kSignatureBytes + 4 * kCellWireBytes +
                 2 * kBoostRunWireBytes + 4);
+  EXPECT_EQ(wire_size(seed), wire_size(Message(seed)));
 }
 
 TEST(Messages, LineBoostRangeOf) {

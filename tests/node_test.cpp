@@ -132,6 +132,113 @@ TEST(PandasNode, QueryBufferedUntilAvailable) {
   EXPECT_TRUE(a.custody().has_cell({row, 5}));
 }
 
+/// Seeds `node` directly with `cells` (valid proof tags), as the builder would.
+void seed_node(PandasNode& node, std::vector<net::CellId> cells) {
+  net::SeedMsg seed;
+  seed.slot = 1;
+  seed.cells = std::move(cells);
+  seed.tags = net::proof_tags(seed.slot, seed.cells);
+  net::Message sm(seed);
+  node.handle_message(99, sm);
+}
+
+TEST(PandasNode, BufferedQueryCompletesThroughReconstruction) {
+  ProtoNet net;
+  auto& a = *net.nodes[0];
+  auto& b = *net.nodes[1];
+  a.begin_slot(1);
+  b.begin_slot(1);
+  const auto row = net.table->of(1).rows[0];
+  const net::CellId parity{row, 31};  // never received, only reconstructed
+
+  net::CellQueryMsg q;
+  q.slot = 1;
+  q.cells.push_back(parity);
+  net.transport->send(0, 1, net::Message(q));
+  net.engine.run_until(net.engine.now() + sim::kSecond);
+  EXPECT_EQ(b.buffered_queries(), 1u);
+
+  // k cells of the row: B decodes the rest, the parity cell among them.
+  std::vector<net::CellId> half;
+  for (std::uint16_t c = 0; c < net.params.matrix_k; ++c) {
+    half.push_back({row, c});
+  }
+  seed_node(b, half);
+  EXPECT_TRUE(b.custody().line_complete(net::LineRef::row(row)));
+  EXPECT_EQ(b.buffered_queries(), 0u);
+  net.engine.run_until(net.engine.now() + sim::kSecond);
+  EXPECT_TRUE(a.custody().has_cell(parity));
+}
+
+TEST(PandasNode, RequestersWaitingOnOneCellAreServedInArrivalOrder) {
+  ProtoNet net;
+  auto& b = *net.nodes[1];
+  obs::TraceSink sink;
+  b.set_trace(&sink);
+  for (const auto i : {0, 1, 2}) net.nodes[i]->begin_slot(1);
+  const auto row = net.table->of(1).rows[0];
+  const net::CellId cell{row, 5};
+
+  // Node 2 asks first, node 0 second; both wait on the same cell. The
+  // steps stay short of B's 400 ms fallback, so no fetch traffic of B's
+  // (and no queries it would provoke back) mixes in.
+  for (const net::NodeIndex from : {2u, 0u}) {
+    net::CellQueryMsg q;
+    q.slot = 1;
+    q.cells.push_back(cell);
+    net.transport->send(from, 1, net::Message(q));
+    net.engine.run_until(net.engine.now() + 190 * sim::kMillisecond);
+  }
+  EXPECT_EQ(b.buffered_queries(), 2u);
+
+  seed_node(b, {cell});  // one ingest serves both
+  EXPECT_EQ(b.buffered_queries(), 0u);
+  std::vector<std::uint32_t> served_to;
+  for (const auto& ev : sink.events()) {
+    if (ev.type == obs::EventType::kBufferedReplyServed) {
+      served_to.push_back(ev.peer);
+    }
+  }
+  EXPECT_EQ(served_to, (std::vector<std::uint32_t>{2, 0}));
+  net.engine.run_until(net.engine.now() + sim::kSecond);
+  EXPECT_TRUE(net.nodes[0]->custody().has_cell(cell));
+  EXPECT_TRUE(net.nodes[2]->custody().has_cell(cell));
+}
+
+TEST(PandasNode, MuteAndWithholdingServersBufferNothing) {
+  for (const auto behavior : {fault::Behavior::kMuteFreeRider,
+                              fault::Behavior::kSelectiveWithhold}) {
+    ProtoNet net;
+    auto& a = *net.nodes[0];
+    auto& b = *net.nodes[1];
+    fault::NodeProfile profile;
+    profile.behavior = behavior;
+    b.set_fault_profile(&profile);
+    obs::TraceSink sink;
+    b.set_trace(&sink);
+    a.begin_slot(1);
+    b.begin_slot(1);
+    const auto row = net.table->of(1).rows[0];
+    const net::CellId cell{row, 6};
+
+    net::CellQueryMsg q;
+    q.slot = 1;
+    q.cells.push_back(cell);
+    net.transport->send(0, 1, net::Message(q));
+    net.engine.run_until(net.engine.now() + sim::kSecond);
+    EXPECT_EQ(b.buffered_queries(), 0u);
+
+    seed_node(b, {cell});
+    net.engine.run_until(net.engine.now() + sim::kSecond);
+    EXPECT_TRUE(b.custody().has_cell(cell));
+    for (const auto& ev : sink.events()) {
+      EXPECT_NE(ev.type, obs::EventType::kBufferedReplyServed)
+          << "a withheld query was served late";
+      EXPECT_NE(ev.type, obs::EventType::kQueryBuffered);
+    }
+  }
+}
+
 TEST(PandasNode, FallbackTimerStartsFetchWithoutSeed) {
   ProtoNet net;
   auto& a = *net.nodes[0];
