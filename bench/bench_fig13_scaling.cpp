@@ -9,8 +9,7 @@
 //
 // --engine-stats appends a per-size scheduler line (events executed,
 // events/sec, wall seconds per sim second, peak queue depth) to stderr —
-// the numbers behind EXPERIMENTS.md's scheduler table. Combine with
-// PANDAS_ENGINE=heap for the binary-heap baseline.
+// the numbers behind EXPERIMENTS.md's scheduler table.
 //
 // Defaults stop at 5,000 nodes so the whole bench suite completes on a
 // laptop; pass --max-nodes 20000 for the paper's full sweep. Large sweeps
@@ -65,11 +64,11 @@ int main(int argc, char** argv) {
       const auto prof = peng.merged_profile();
       const auto& ws = peng.window_stats();
       std::fprintf(stderr,
-                   "engine-stats n=%u scheduler=%s threads=%u events=%llu "
+                   "engine-stats n=%u threads=%u events=%llu "
                    "events_per_sec=%.0f wall_per_sim_s=%.3f "
                    "peak_queue=%llu allocs=%llu capacity=%zu "
                    "windows=%llu lane_events=%llu\n",
-                   n, experiment.engine().scheduler_name(), peng.shards(),
+                   n, peng.shards(),
                    static_cast<unsigned long long>(prof.events),
                    prof.events_per_wall_second(), prof.wall_per_sim_second(),
                    static_cast<unsigned long long>(prof.peak_queue_depth),

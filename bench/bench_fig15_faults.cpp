@@ -80,10 +80,40 @@ int main(int argc, char** argv) {
   const std::vector<double> paper_fracs = {0.0, 0.2, 0.4, 0.6, 0.8};
   const std::vector<double> adv_fracs = {0.0, 0.2, 0.4};
 
-  for (const auto& spec : specs) {
+  const auto sweep_of = [&](const AxisSpec& spec) -> std::vector<double> {
     const bool paper_axis =
         spec.axis == Axis::kDead || spec.axis == Axis::kOutOfView;
-    if (quick && !paper_axis && spec.axis != Axis::kByzantine) continue;
+    if (quick && !paper_axis && spec.axis != Axis::kByzantine) return {};
+    return paper_axis ? paper_fracs : adv_fracs;
+  };
+  const auto config_of = [&](const AxisSpec& spec, double f) {
+    harness::PandasConfig cfg;
+    cfg.net.nodes = nodes;
+    cfg.net.seed = seed;
+    cfg.slots = slots;
+    cfg.policy = core::SeedingPolicy::redundant(8);
+    cfg.block_gossip = false;
+    fault_cli.apply(cfg);
+    apply_axis(cfg, spec.axis, f);
+    obs.apply(cfg);
+    return cfg;
+  };
+  // A sweep point sets one behavior fraction on top of the fault flags:
+  // reject flags that push any point's behaviors above 1 before the first run.
+  for (const auto& spec : specs) {
+    for (const double f : sweep_of(spec)) {
+      if (config_of(spec, f).faults.behavior_overflow() >= 0) {
+        std::fprintf(stderr,
+                     "fault flags plus the %s axis at %.0f%% sum above 1\n",
+                     spec.title, f * 100);
+        return 2;
+      }
+    }
+  }
+
+  for (const auto& spec : specs) {
+    const auto fracs = sweep_of(spec);
+    if (fracs.empty()) continue;
     if (!obs.json) {
       harness::print_header(std::string("Fig 15") + spec.tag + " — " +
                             spec.title + " nodes (" + std::to_string(nodes) +
@@ -92,16 +122,8 @@ int main(int argc, char** argv) {
                   "fraction", "cons p50", "samp p50", "samp p99", "met-4s",
                   "corr-rej", "corr-acc", "greylist");
     }
-    for (const double f : paper_axis ? paper_fracs : adv_fracs) {
-      harness::PandasConfig cfg;
-      cfg.net.nodes = nodes;
-      cfg.net.seed = seed;
-      cfg.slots = slots;
-      cfg.policy = core::SeedingPolicy::redundant(8);
-      cfg.block_gossip = false;
-      fault_cli.apply(cfg);
-      apply_axis(cfg, spec.axis, f);
-      obs.apply(cfg);
+    for (const double f : fracs) {
+      const auto cfg = config_of(spec, f);
       harness::PandasExperiment experiment(cfg);
       const auto res = experiment.run();
       const auto snap = harness::snapshot_of(

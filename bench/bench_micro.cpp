@@ -254,17 +254,16 @@ void BM_EventQueue_PushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_PushPop);
 
-// Scheduler A/B throughput at simulation-like queue depths: a self-renewing
+// Scheduler throughput at simulation-like queue depths: a self-renewing
 // population of timers (each callback reschedules itself with a spread of
 // delays, like retransmit/deadline timers in a live run). items/second is
 // the events/sec figure quoted in EXPERIMENTS.md; the `allocs` counter is
 // container growths observed during the measured (steady-state) phase — the
 // zero-allocation acceptance criterion for the calendar queue.
-//   Arg 0: sim::SchedulerKind (0 wheel, 1 heap)   Arg 1: pending events
+//   Arg: pending events
 void BM_Engine_SteadyState(benchmark::State& state) {
-  const auto kind = static_cast<sim::SchedulerKind>(state.range(0));
-  const auto population = static_cast<std::uint64_t>(state.range(1));
-  sim::Engine engine(1, kind);
+  const auto population = static_cast<std::uint64_t>(state.range(0));
+  sim::Engine engine;
   // Delay spread mimicking a PANDAS slot: mostly sub-ms hops with a tail of
   // multi-second deadline timers, all derived deterministically.
   struct Timer {
@@ -291,15 +290,8 @@ void BM_Engine_SteadyState(benchmark::State& state) {
   state.counters["allocs"] = static_cast<double>(engine.scheduler_allocs() -
                                                  allocs_before);
   state.counters["capacity"] = static_cast<double>(engine.event_capacity());
-  state.SetLabel(engine.scheduler_name());
 }
-BENCHMARK(BM_Engine_SteadyState)
-    ->Args({0, 1 << 10})
-    ->Args({1, 1 << 10})
-    ->Args({0, 1 << 14})
-    ->Args({1, 1 << 14})
-    ->Args({0, 1 << 17})
-    ->Args({1, 1 << 17});
+BENCHMARK(BM_Engine_SteadyState)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace
 

@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   const auto slots =
       static_cast<std::uint32_t>(args.get_int("--slots", quick ? 2 : 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  const auto threads =
-      static_cast<std::uint32_t>(args.get_int("--threads", 4));
+  const auto threads = static_cast<std::uint32_t>(
+      args.get_int("--threads", 4, 1, pandas::harness::kMaxSimThreads));
   const std::string only = args.get_str("--mix", "");
 
   if (args.has("--list")) {

@@ -20,12 +20,12 @@ int main(int argc, char** argv) {
   cfg.net.nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 500));
   cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 11));
   cfg.slots = static_cast<std::uint32_t>(args.get_int("--slots", 2));
-  cfg.dead_fraction = args.get_double("--dead", 0.3);
+  cfg.faults.dead_fraction = args.get_double("--dead", 0.3, 0.0, 1.0);
   cfg.out_of_view_fraction = args.get_double("--oov", 0.2);
   cfg.block_gossip = false;
 
   std::printf("PANDAS fault injection: %u nodes, %.0f%% dead, %.0f%% out-of-view\n",
-              cfg.net.nodes, 100 * cfg.dead_fraction,
+              cfg.net.nodes, 100 * cfg.faults.dead_fraction,
               100 * cfg.out_of_view_fraction);
 
   harness::PandasExperiment experiment(cfg);

@@ -37,12 +37,12 @@ elif [[ "${1:-}" == "--tsan" ]]; then
   # paths that fan out over it, the engine/topology layer that owns the
   # deterministic seams the pool must not cross, the sharded parallel
   # engine + cross-shard transport lanes (tests/parallel_test.cpp), and the
-  # fault/hedging suites whose chaotic runs shard over the pool too.
+  # fault/hedging and baseline suites whose runs shard over the pool too.
   cmake --build build-tsan -j "$(nproc)" \
       --target util_test erasure_test kernels_test sim_test parallel_test \
-               fault_test fetcher_test rtt_test
+               fault_test fetcher_test rtt_test baseline_test
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R "ThreadPool|ReedSolomon|ExtendedBlob|Kernels|Engine|Topology|Parallel|Fault|Fetcher|Rtt|PeerRtt"
+      -R "ThreadPool|ReedSolomon|ExtendedBlob|Kernels|Engine|Topology|Parallel|Fault|Fetcher|Rtt|PeerRtt|Baseline"
   echo "tier1 OK (build-tsan)"
   exit 0
 fi
@@ -103,19 +103,6 @@ for f in "${SMOKE_DIR}"/run1/*.jsonl "${SMOKE_DIR}"/run1/*.json; do
       || { echo "same-seed export differs: $(basename "$f")"; exit 1; }
 done
 echo "attribution smoke OK (same-seed exports byte-identical)"
-
-# Scheduler-equivalence job: the same run under the binary-heap baseline
-# (PANDAS_ENGINE=heap) must export byte-identical traces and attribution —
-# the calendar queue's determinism contract (docs/SIMULATION.md).
-mkdir -p "${SMOKE_DIR}/heap"
-PANDAS_ENGINE=heap "./${BUILD_DIR}/bench/bench_fig09_phases" "${ATTR_ARGS[@]}" \
-    --attribution-out "${SMOKE_DIR}/heap/attr.jsonl" \
-    --trace-out "${SMOKE_DIR}/heap/flow.json" > /dev/null
-for f in "${SMOKE_DIR}"/run1/*.jsonl "${SMOKE_DIR}"/run1/*.json; do
-  cmp "$f" "${SMOKE_DIR}/heap/$(basename "$f")" \
-      || { echo "heap/wheel export differs: $(basename "$f")"; exit 1; }
-done
-echo "scheduler equivalence OK (wheel vs heap exports byte-identical)"
 
 # Parallel-equivalence job: the same run sharded over 8 engine threads must
 # export byte-identical attribution, traces, metrics, and records — clause 5

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/prng.h"
 
@@ -20,8 +21,34 @@ const char* behavior_name(Behavior b) noexcept {
   return "unknown";
 }
 
+int FaultConfig::behavior_overflow() const noexcept {
+  const double fractions[] = {dead_fraction,      byzantine_fraction,
+                              withhold_fraction,  freerider_fraction,
+                              straggler_fraction, churn_fraction};
+  double sum = 0;
+  for (int k = 0; k < 6; ++k) {
+    sum += fractions[k];
+    // Slack for decimal rounding: 0.34 + 0.56 + 0.1 adds up to 1 + 2^-52.
+    if (sum > 1.0 + 1e-9) return k;
+  }
+  return -1;
+}
+
 FaultPlan FaultPlan::generate(const FaultConfig& cfg, std::uint32_t nodes,
                               std::uint64_t fallback_seed) {
+  for (const double f :
+       {cfg.dead_fraction, cfg.byzantine_fraction, cfg.withhold_fraction,
+        cfg.freerider_fraction, cfg.straggler_fraction, cfg.churn_fraction,
+        cfg.partition_fraction, cfg.flap_fraction, cfg.burst_fraction,
+        cfg.bw_collapse_fraction}) {
+    if (!(f >= 0.0 && f <= 1.0)) {
+      throw std::invalid_argument("FaultPlan: fraction outside [0, 1]");
+    }
+  }
+  if (cfg.behavior_overflow() >= 0) {
+    throw std::invalid_argument("FaultPlan: behavior fractions sum above 1");
+  }
+
   FaultPlan plan;
   plan.profiles_.assign(nodes, NodeProfile{});
   plan.builder_ = cfg.builder;

@@ -95,9 +95,10 @@ struct LinkProfile {
   }
 };
 
-/// Fault axes, as independent node fractions. Fractions are drawn from a
-/// disjoint shuffle: a node gets at most one behavior, so the fractions must
-/// sum to <= 1 (generate() clamps overflow to correct).
+/// Fault axes, as independent node fractions in [0, 1]. Fractions are drawn
+/// from a disjoint shuffle: a node gets at most one behavior, so the
+/// behavior fractions must sum to <= 1 (FaultPlan::generate() throws
+/// otherwise).
 struct FaultConfig {
   double dead_fraction = 0.0;
   double byzantine_fraction = 0.0;
@@ -154,6 +155,10 @@ struct FaultConfig {
     return partition_fraction > 0 || flap_fraction > 0 || burst_fraction > 0 ||
            bw_collapse_fraction > 0;
   }
+  /// Position, in draw order (dead, byzantine, withhold, freerider,
+  /// straggler, churn), of the behavior fraction whose addition takes their
+  /// sum above 1; -1 when they sum to at most 1 (up to rounding).
+  [[nodiscard]] int behavior_overflow() const noexcept;
 };
 
 /// Deterministic per-node behavior assignment. Default-constructed plans are
@@ -163,7 +168,9 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Draws profiles for `nodes` nodes. `fallback_seed` is used when
-  /// cfg.seed == 0 (the experiment seed, by convention).
+  /// cfg.seed == 0 (the experiment seed, by convention). Throws
+  /// std::invalid_argument when a fraction lies outside [0, 1] or the
+  /// behavior fractions sum above 1.
   [[nodiscard]] static FaultPlan generate(const FaultConfig& cfg,
                                           std::uint32_t nodes,
                                           std::uint64_t fallback_seed);

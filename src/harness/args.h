@@ -57,12 +57,35 @@ class Args {
     return fallback;
   }
 
+  /// get_int() / get_double() confined to [lo, hi]: a value outside the
+  /// range exits 2 like a malformed one.
+  [[nodiscard]] std::int64_t get_int(const std::string& flag,
+                                     std::int64_t fallback, std::int64_t lo,
+                                     std::int64_t hi) const {
+    const std::int64_t x = get_int(flag, fallback);
+    if (x < lo || x > hi) reject(flag);
+    return x;
+  }
+  [[nodiscard]] double get_double(const std::string& flag, double fallback,
+                                  double lo, double hi) const {
+    const double x = get_double(flag, fallback);
+    if (x < lo || x > hi) reject(flag);
+    return x;
+  }
+
   [[nodiscard]] std::string get_str(const std::string& flag,
                                     const std::string& fallback) const {
     for (int i = 1; i + 1 < argc_; ++i) {
       if (flag == argv_[i]) return argv_[i + 1];
     }
     return fallback;
+  }
+
+  /// Rejects the value given for `flag` (well-formed but unusable, e.g. in
+  /// combination with other flags): prints `<flag>: bad value '<v>'` and
+  /// exits 2.
+  [[noreturn]] void reject(const std::string& flag) const {
+    bad_value(flag, get_str(flag, "").c_str());
   }
 
  private:

@@ -4,34 +4,54 @@
 
 namespace pandas::harness {
 
+namespace {
+
+/// Folds one slot of node records into `out`: custody time (for node types
+/// that track it), sampling time or a miss, and each node's transport
+/// messages and bytes (sent + received) since the `before` snapshot.
+template <class Node>
+void add_slot_records(const std::vector<std::unique_ptr<Node>>& nodes,
+                      const net::SimTransport& transport,
+                      const std::vector<net::TrafficStats>& before,
+                      BaselineResults& out) {
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    const auto& rec = nodes[i]->record();
+    out.records += 1;
+    if constexpr (requires { rec.custody_time; }) {
+      if (rec.custody_time) out.custody_ms.add(sim::to_ms(*rec.custody_time));
+    }
+    if (rec.sampling_time) {
+      out.sampling_ms.add(sim::to_ms(*rec.sampling_time));
+    } else {
+      out.sampling_misses += 1;
+    }
+    const auto& after = transport.stats(i);
+    out.messages.add(static_cast<double>(after.msgs_sent - before[i].msgs_sent +
+                                         after.msgs_received -
+                                         before[i].msgs_received));
+    out.traffic_mb.add(static_cast<double>(after.bytes_sent - before[i].bytes_sent +
+                                           after.bytes_received -
+                                           before[i].bytes_received) /
+                       1e6);
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- GossipDas
 
 GossipDasExperiment::GossipDasExperiment(GossipDasConfig cfg)
     : cfg_(std::move(cfg)),
-      directory_(net::Directory::create(cfg_.net.nodes)),
-      harness_rng_(util::mix64(cfg_.net.seed ^ 0x67646173ULL)) {
+      harness_rng_(util::mix64(cfg_.net.seed ^ 0x67646173ULL)),
+      net_(cfg_.net, harness_rng_),
+      directory_(net::Directory::create(cfg_.net.nodes)) {
   setup();
 }
 
 GossipDasExperiment::~GossipDasExperiment() = default;
 
 void GossipDasExperiment::setup() {
-  engine_ = std::make_unique<sim::ParallelEngine>(cfg_.net.seed,
-                                                  cfg_.net.sim_threads);
-  topology_ = sim::Topology::generate(cfg_.net.topology, cfg_.net.seed);
-  engine_->set_lookahead(topology_.min_owd());
-  transport_ = std::make_unique<net::SimTransport>(*engine_, topology_,
-                                                   cfg_.net.transport);
   const std::uint32_t n = cfg_.net.nodes;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    transport_->add_node(static_cast<std::uint32_t>(
-        harness_rng_.uniform(topology_.vertex_count())));
-  }
-  const auto best = topology_.best_vertices(cfg_.net.builder_best_fraction);
-  builder_index_ = transport_->add_node(best[harness_rng_.uniform(best.size())],
-                                        cfg_.net.builder_up_bps,
-                                        cfg_.net.builder_down_bps);
-
   auto per_node = baselines::unit_assignments(cfg_.params, directory_,
                                               core::epoch_seed(cfg_.net.seed, 0));
   // Record each node's unit (derived from its first row block).
@@ -47,7 +67,8 @@ void GossipDasExperiment::setup() {
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto node = std::make_unique<baselines::GossipDasNode>(
-        engine_->engine_for(i), *transport_, i, cfg_.params, cfg_.gossip);
+        net_.engine().engine_for(i), net_.transport(), i, cfg_.params,
+        cfg_.gossip);
     node->configure(assignment_.get(), &full_view_, unit_of_[i]);
     nodes_.push_back(std::move(node));
   }
@@ -68,24 +89,27 @@ void GossipDasExperiment::setup() {
   }
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    transport_->set_handler(i, [this, i](net::NodeIndex from, net::Message&& msg) {
-      nodes_[i]->handle_message(from, msg);
-    });
+    net_.transport().set_handler(
+        i, [this, i](net::NodeIndex from, net::Message&& msg) {
+          nodes_[i]->handle_message(from, msg);
+        });
   }
 
   // Warm up the meshes.
-  engine_->run_until(engine_->now() + 3 * sim::kSecond);
+  net_.engine().run_until(net_.engine().now() + 3 * sim::kSecond);
 }
 
 void GossipDasExperiment::run_slot(std::uint64_t slot, BaselineResults& out) {
-  const sim::Time slot_start = engine_->now();
+  sim::ParallelEngine& engine = net_.engine();
+  net::SimTransport& transport = net_.transport();
+  const sim::Time slot_start = engine.now();
   const std::uint32_t n = cfg_.net.nodes;
   const std::uint32_t units = baselines::unit_count(cfg_.params);
 
   for (std::uint32_t i = 0; i < n; ++i) nodes_[i]->begin_slot(slot);
 
   std::vector<net::TrafficStats> before(n);
-  for (std::uint32_t i = 0; i < n; ++i) before[i] = transport_->stats(i);
+  for (std::uint32_t i = 0; i < n; ++i) before[i] = transport.stats(i);
 
   // Builder: inject `builder_copies` copies of each unit's cells into the
   // unit channel; in-channel gossip takes it from there.
@@ -112,30 +136,12 @@ void GossipDasExperiment::run_slot(std::uint64_t slot, BaselineResults& out) {
     const auto copies =
         std::min<std::size_t>(cfg_.builder_copies, members.size());
     for (std::size_t c = 0; c < copies; ++c) {
-      transport_->send(builder_index_, members[c], msg);
+      transport.send(net_.builder_index(), members[c], msg);
     }
   }
 
-  engine_->run_until(slot_start + sim::kSlotDuration);
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& rec = nodes_[i]->record();
-    out.records += 1;
-    if (rec.custody_time) out.custody_ms.add(sim::to_ms(*rec.custody_time));
-    if (rec.sampling_time) {
-      out.sampling_ms.add(sim::to_ms(*rec.sampling_time));
-    } else {
-      out.sampling_misses += 1;
-    }
-    const auto& after = transport_->stats(i);
-    out.messages.add(static_cast<double>(after.msgs_sent - before[i].msgs_sent +
-                                         after.msgs_received -
-                                         before[i].msgs_received));
-    out.traffic_mb.add(static_cast<double>(after.bytes_sent - before[i].bytes_sent +
-                                           after.bytes_received -
-                                           before[i].bytes_received) /
-                       1e6);
-  }
+  engine.run_until(slot_start + sim::kSlotDuration);
+  add_slot_records(nodes_, transport, before, out);
 }
 
 BaselineResults GossipDasExperiment::run() {
@@ -148,39 +154,29 @@ BaselineResults GossipDasExperiment::run() {
 
 DhtDasExperiment::DhtDasExperiment(DhtDasConfig cfg)
     : cfg_(std::move(cfg)),
-      directory_(net::Directory::create(cfg_.net.nodes + 1)),
-      harness_rng_(util::mix64(cfg_.net.seed ^ 0x64686173ULL)) {
+      harness_rng_(util::mix64(cfg_.net.seed ^ 0x64686173ULL)),
+      net_(cfg_.net, harness_rng_),
+      directory_(net::Directory::create(cfg_.net.nodes + 1)) {
   setup();
 }
 
 DhtDasExperiment::~DhtDasExperiment() = default;
 
 void DhtDasExperiment::setup() {
-  engine_ = std::make_unique<sim::ParallelEngine>(cfg_.net.seed,
-                                                  cfg_.net.sim_threads);
-  topology_ = sim::Topology::generate(cfg_.net.topology, cfg_.net.seed);
-  engine_->set_lookahead(topology_.min_owd());
-  transport_ = std::make_unique<net::SimTransport>(*engine_, topology_,
-                                                   cfg_.net.transport);
+  sim::ParallelEngine& engine = net_.engine();
+  net::SimTransport& transport = net_.transport();
+  const net::NodeIndex builder_index = net_.builder_index();
   const std::uint32_t n = cfg_.net.nodes;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    transport_->add_node(static_cast<std::uint32_t>(
-        harness_rng_.uniform(topology_.vertex_count())));
-  }
-  const auto best = topology_.best_vertices(cfg_.net.builder_best_fraction);
-  builder_index_ = transport_->add_node(best[harness_rng_.uniform(best.size())],
-                                        cfg_.net.builder_up_bps,
-                                        cfg_.net.builder_down_bps);
 
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<baselines::DhtDasNode>(
-        engine_->engine_for(i), *transport_, directory_, i, cfg_.params,
+        engine.engine_for(i), transport, directory_, i, cfg_.params,
         cfg_.dht));
   }
   builder_ = std::make_unique<baselines::DhtDasBuilder>(
-      engine_->engine_for(builder_index_), *transport_, directory_,
-      builder_index_, cfg_.params, cfg_.dht);
+      engine.engine_for(builder_index), transport, directory_, builder_index,
+      cfg_.params, cfg_.dht);
 
   // Routing-table bootstrap: the steady state of a long-running network.
   const std::uint32_t total = n + 1;
@@ -213,50 +209,33 @@ void DhtDasExperiment::setup() {
       node.bootstrap(contacts);
     };
     for (std::uint32_t i = 0; i < n; ++i) bootstrap_one(nodes_[i]->dht(), i);
-    bootstrap_one(builder_->dht(), builder_index_);
+    bootstrap_one(builder_->dht(), builder_index);
   }
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    transport_->set_handler(i, [this, i](net::NodeIndex from, net::Message&& msg) {
+    transport.set_handler(i, [this, i](net::NodeIndex from, net::Message&& msg) {
       nodes_[i]->handle_message(from, msg);
     });
   }
-  transport_->set_handler(builder_index_,
-                          [this](net::NodeIndex from, net::Message&& msg) {
-                            builder_->dht().handle(from, msg);
-                          });
+  transport.set_handler(builder_index,
+                        [this](net::NodeIndex from, net::Message&& msg) {
+                          builder_->dht().handle(from, msg);
+                        });
 }
 
 void DhtDasExperiment::run_slot(std::uint64_t slot, BaselineResults& out) {
-  const sim::Time slot_start = engine_->now();
+  const sim::Time slot_start = net_.engine().now();
   const std::uint32_t n = cfg_.net.nodes;
 
   std::vector<net::TrafficStats> before(n);
-  for (std::uint32_t i = 0; i < n; ++i) before[i] = transport_->stats(i);
+  for (std::uint32_t i = 0; i < n; ++i) before[i] = net_.transport().stats(i);
 
   for (std::uint32_t i = 0; i < n; ++i) nodes_[i]->begin_slot(slot);
   builder_->seed_slot(slot);
   for (std::uint32_t i = 0; i < n; ++i) nodes_[i]->start_sampling();
 
-  engine_->run_until(slot_start + sim::kSlotDuration);
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& rec = nodes_[i]->record();
-    out.records += 1;
-    if (rec.sampling_time) {
-      out.sampling_ms.add(sim::to_ms(*rec.sampling_time));
-    } else {
-      out.sampling_misses += 1;
-    }
-    const auto& after = transport_->stats(i);
-    out.messages.add(static_cast<double>(after.msgs_sent - before[i].msgs_sent +
-                                         after.msgs_received -
-                                         before[i].msgs_received));
-    out.traffic_mb.add(static_cast<double>(after.bytes_sent - before[i].bytes_sent +
-                                           after.bytes_received -
-                                           before[i].bytes_received) /
-                       1e6);
-  }
+  net_.engine().run_until(slot_start + sim::kSlotDuration);
+  add_slot_records(nodes_, net_.transport(), before, out);
 }
 
 BaselineResults DhtDasExperiment::run() {

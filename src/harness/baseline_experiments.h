@@ -47,8 +47,8 @@ class GossipDasExperiment {
   ~GossipDasExperiment();
   BaselineResults run();
 
-  [[nodiscard]] sim::Engine& engine() { return engine_->shard(0); }
-  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return *engine_; }
+  [[nodiscard]] sim::Engine& engine() { return net_.engine().shard(0); }
+  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return net_.engine(); }
   [[nodiscard]] baselines::GossipDasNode& node(net::NodeIndex i) {
     return *nodes_[i];
   }
@@ -58,16 +58,13 @@ class GossipDasExperiment {
   void run_slot(std::uint64_t slot, BaselineResults& out);
 
   GossipDasConfig cfg_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  sim::Topology topology_;
-  std::unique_ptr<net::SimTransport> transport_;
+  util::Xoshiro256 harness_rng_;
+  SimNetwork net_;  // before the nodes, which hold references into it
   net::Directory directory_;
   std::unique_ptr<core::AssignmentTable> assignment_;  // unit-based
   std::vector<std::uint32_t> unit_of_;
   core::View full_view_;
   std::vector<std::unique_ptr<baselines::GossipDasNode>> nodes_;
-  net::NodeIndex builder_index_ = net::kInvalidNode;
-  util::Xoshiro256 harness_rng_;
 };
 
 struct DhtDasConfig {
@@ -87,8 +84,8 @@ class DhtDasExperiment {
   ~DhtDasExperiment();
   BaselineResults run();
 
-  [[nodiscard]] sim::Engine& engine() { return engine_->shard(0); }
-  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return *engine_; }
+  [[nodiscard]] sim::Engine& engine() { return net_.engine().shard(0); }
+  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return net_.engine(); }
   [[nodiscard]] baselines::DhtDasNode& node(net::NodeIndex i) {
     return *nodes_[i];
   }
@@ -98,14 +95,11 @@ class DhtDasExperiment {
   void run_slot(std::uint64_t slot, BaselineResults& out);
 
   DhtDasConfig cfg_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  sim::Topology topology_;
-  std::unique_ptr<net::SimTransport> transport_;
+  util::Xoshiro256 harness_rng_;
+  SimNetwork net_;  // before the nodes, which hold references into it
   net::Directory directory_;  // nodes + builder
   std::vector<std::unique_ptr<baselines::DhtDasNode>> nodes_;
   std::unique_ptr<baselines::DhtDasBuilder> builder_;
-  net::NodeIndex builder_index_ = net::kInvalidNode;
-  util::Xoshiro256 harness_rng_;
 };
 
 }  // namespace pandas::harness

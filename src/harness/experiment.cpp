@@ -12,10 +12,30 @@ namespace {
 constexpr std::uint64_t kBlockTopic = 0xb10cULL;
 }
 
+SimNetwork::SimNetwork(const NetworkConfig& cfg,
+                       util::Xoshiro256& placement_rng)
+    : engine_(cfg.seed, cfg.sim_threads),
+      topology_(sim::Topology::generate(cfg.topology, cfg.seed)),
+      transport_(engine_, topology_, cfg.transport) {
+  // Safe-window length: no message crosses nodes faster than the topology's
+  // minimum one-way delay (plus >= 1 µs of serialization on top).
+  engine_.set_lookahead(topology_.min_owd());
+  for (std::uint32_t i = 0; i < cfg.nodes; ++i) {
+    transport_.add_node(static_cast<std::uint32_t>(
+        placement_rng.uniform(topology_.vertex_count())));
+  }
+  // The builder lives on a well-connected (cloud) vertex.
+  const auto best = topology_.best_vertices(cfg.builder_best_fraction);
+  builder_index_ =
+      transport_.add_node(best[placement_rng.uniform(best.size())],
+                          cfg.builder_up_bps, cfg.builder_down_bps);
+}
+
 PandasExperiment::PandasExperiment(PandasConfig cfg)
     : cfg_(std::move(cfg)),
-      directory_(net::Directory::create(cfg_.net.nodes)),
       harness_rng_(util::mix64(cfg_.net.seed ^ 0x6861726eULL)),
+      net_(cfg_.net, harness_rng_),
+      directory_(net::Directory::create(cfg_.net.nodes)),
       registry_(cfg_.obs.metrics) {
   setup();
 }
@@ -23,29 +43,10 @@ PandasExperiment::PandasExperiment(PandasConfig cfg)
 PandasExperiment::~PandasExperiment() = default;
 
 void PandasExperiment::setup() {
-  engine_ = std::make_unique<sim::ParallelEngine>(cfg_.net.seed,
-                                                  cfg_.net.sim_threads);
-  topology_ = sim::Topology::generate(cfg_.net.topology, cfg_.net.seed);
-  // Safe-window length: no message crosses nodes faster than the topology's
-  // minimum one-way delay (plus >= 1 µs of serialization on top).
-  engine_->set_lookahead(topology_.min_owd());
-  transport_ = std::make_unique<net::SimTransport>(*engine_, topology_,
-                                                   cfg_.net.transport);
-
   const std::uint32_t n = cfg_.net.nodes;
-
-  // Assign nodes to random topology vertices (reusing vertices when the
-  // network outgrows the trace, as the paper does for N > 10,000).
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto vertex = static_cast<std::uint32_t>(
-        harness_rng_.uniform(topology_.vertex_count()));
-    transport_->add_node(vertex);
-  }
-  // The builder lives on a well-connected (cloud) vertex.
-  const auto best = topology_.best_vertices(cfg_.net.builder_best_fraction);
-  const auto builder_vertex = best[harness_rng_.uniform(best.size())];
-  builder_index_ = transport_->add_node(builder_vertex, cfg_.net.builder_up_bps,
-                                        cfg_.net.builder_down_bps);
+  sim::ParallelEngine& engine = net_.engine();
+  net::SimTransport& transport = net_.transport();
+  const net::NodeIndex builder_index = net_.builder_index();
 
   // Epoch 0 assignment (slots of one run stay within one epoch; the
   // short-liveness of F across epochs is covered by unit tests).
@@ -58,10 +59,8 @@ void PandasExperiment::setup() {
   builder_view_ = core::View::full(n);
 
   // Fault plan: one behavior profile per node, drawn deterministically from
-  // the fault config and the run seed. The legacy dead_fraction knob folds
-  // into the plan's fail-silent axis so existing configs keep working.
-  fault::FaultConfig faults = cfg_.faults;
-  if (faults.dead_fraction == 0.0) faults.dead_fraction = cfg_.dead_fraction;
+  // the fault config and the run seed.
+  const fault::FaultConfig& faults = cfg_.faults;
   fault_plan_ = fault::FaultPlan::generate(faults, n, cfg_.net.seed);
 
   dead_.assign(n, false);
@@ -72,10 +71,10 @@ void PandasExperiment::setup() {
     switch (profile.behavior) {
       case fault::Behavior::kFailSilent:
         dead_[i] = true;
-        transport_->set_dead(i, true);
+        transport.set_dead(i, true);
         break;
       case fault::Behavior::kStraggler:
-        transport_->set_extra_delay(i, profile.service_delay);
+        transport.set_extra_delay(i, profile.service_delay);
         break;
       default:
         break;  // byzantine/withhold/freerider act in the node; churn per slot
@@ -102,7 +101,7 @@ void PandasExperiment::setup() {
       c.ge_loss_bad = faults.ge_loss_bad;
       c.bw_collapse = l.bw_collapse;
       c.bw_factor = faults.bw_factor;
-      transport_->set_link_chaos(i, c);
+      transport.set_link_chaos(i, c);
     }
   }
 
@@ -115,8 +114,8 @@ void PandasExperiment::setup() {
     } else {
       views_[i] = core::View::full(n);
     }
-    auto node = std::make_unique<core::PandasNode>(engine_->engine_for(i),
-                                                   *transport_, i, cfg_.params);
+    auto node = std::make_unique<core::PandasNode>(engine.engine_for(i),
+                                                   transport, i, cfg_.params);
     node->configure_epoch(assignment_.get());
     node->set_view(&views_[i]);
     node->set_fault_profile(&fault_plan_.of(i));
@@ -125,8 +124,8 @@ void PandasExperiment::setup() {
     // any shard. All add_node() calls precede this loop, so vertex_of is
     // stable for the node's lifetime.
     node->set_rtt_prior(
-        [tp = transport_.get(), topo = &topology_,
-         self_vertex = transport_->vertex_of(i)](net::NodeIndex peer) {
+        [tp = &transport, topo = &net_.topology(),
+         self_vertex = transport.vertex_of(i)](net::NodeIndex peer) {
           return topo->rtt_ms(self_vertex, tp->vertex_of(peer));
         });
     nodes_.push_back(std::move(node));
@@ -136,8 +135,8 @@ void PandasExperiment::setup() {
   if (cfg_.block_gossip) {
     gossip_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      auto g = std::make_unique<gossip::GossipSubNode>(engine_->engine_for(i),
-                                                       *transport_, i);
+      auto g = std::make_unique<gossip::GossipSubNode>(engine.engine_for(i),
+                                                       transport, i);
       // Each node knows ~24 random peers on the block topic.
       const std::uint32_t peers = std::min<std::uint32_t>(24, n - 1);
       const auto picks = harness_rng_.sample_distinct(n, peers + 1);
@@ -146,7 +145,7 @@ void PandasExperiment::setup() {
       }
       // The callback runs on node i's home shard mid-window, where only
       // that shard's clock is current.
-      sim::Engine* eng = &engine_->engine_for(i);
+      sim::Engine* eng = &engine.engine_for(i);
       g->set_delivery_callback(
           [this, i, eng](net::NodeIndex, const net::GossipDataMsg& msg) {
             if (msg.topic == kBlockTopic && block_arrival_[i] < 0) {
@@ -163,14 +162,14 @@ void PandasExperiment::setup() {
 
   // Message dispatch.
   for (std::uint32_t i = 0; i < n; ++i) {
-    transport_->set_handler(i, [this, i](net::NodeIndex from, net::Message&& msg) {
+    transport.set_handler(i, [this, i](net::NodeIndex from, net::Message&& msg) {
       if (nodes_[i]->handle_message(from, msg)) return;
       if (cfg_.block_gossip) gossip_[i]->handle(from, msg);
     });
   }
 
-  builder_ = std::make_unique<core::Builder>(engine_->engine_for(builder_index_),
-                                             *transport_, builder_index_,
+  builder_ = std::make_unique<core::Builder>(engine.engine_for(builder_index),
+                                             transport, builder_index,
                                              cfg_.params);
   builder_->set_fault(&fault_plan_.builder());
 
@@ -185,9 +184,9 @@ void PandasExperiment::setup() {
       tracer_.set_actor_label(i, "node " + std::to_string(i));
       nodes_[i]->set_trace(tracer_.sink(i));
     }
-    tracer_.set_actor_label(builder_index_, "builder");
-    builder_->set_trace(tracer_.sink(builder_index_));
-    transport_->set_tracer(&tracer_);
+    tracer_.set_actor_label(builder_index, "builder");
+    builder_->set_trace(tracer_.sink(builder_index));
+    transport.set_tracer(&tracer_);
   }
   // Causal provenance sinks (attribution and/or flow arrows). Unlike trace
   // sampling this is all-or-nothing: the attribution criterion covers every
@@ -199,11 +198,11 @@ void PandasExperiment::setup() {
       nodes_[i]->set_causal(causal_.sink(i));
     }
   }
-  engine_->set_profiling(cfg_.obs.metrics);
+  engine.set_profiling(cfg_.obs.metrics);
 
   // Warm-up: let the gossip meshes stabilize before the first slot.
   if (cfg_.block_gossip) {
-    engine_->run_until(engine_->now() + 3 * sim::kSecond);
+    engine.run_until(engine.now() + 3 * sim::kSecond);
   }
 }
 
@@ -218,7 +217,7 @@ void PandasExperiment::maybe_rotate_epoch(std::uint64_t slot) {
 
 core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
                                                         PandasResults& out) {
-  const sim::Time slot_start = engine_->now();
+  const sim::Time slot_start = net_.engine().now();
   const std::uint32_t n = cfg_.net.nodes;
   maybe_rotate_epoch(slot);
 
@@ -234,17 +233,17 @@ core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
     const auto& profile = fault_plan_.of(c);
     // Churn toggles touch node c's link state, so they run on c's home
     // shard, tagged with c's ordering lane (layout-invariant key timeline).
-    sim::Engine* eng = &engine_->engine_for(c);
+    sim::Engine* eng = &net_.engine().engine_for(c);
     eng->schedule_as(sim::Engine::lane_of_actor(c),
                      slot_start + profile.churn_offset, [this, c, eng]() {
-                       transport_->set_dead(c, true);
+                       net_.transport().set_dead(c, true);
                        obs::emit(tracer_.sink(c), obs::EventType::kChurnLeave,
                                  eng->now());
                      });
     eng->schedule_as(sim::Engine::lane_of_actor(c),
                      slot_start + profile.churn_offset + profile.churn_downtime,
                      [this, c, eng]() {
-                       transport_->set_dead(c, false);
+                       net_.transport().set_dead(c, false);
                        obs::emit(tracer_.sink(c), obs::EventType::kChurnJoin,
                                  eng->now());
                      });
@@ -258,14 +257,14 @@ core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
     if (lf.partition_fraction > 0 && !fault_plan_.partitioned().empty()) {
       const sim::Time pstart = slot_start + lf.partition_offset;
       const sim::Time pend = pstart + lf.partition_heal;
-      transport_->set_partition_window(pstart, pend);
+      net_.transport().set_partition_window(pstart, pend);
       partition_heals_ += 1;
       out.partition_heals += 1;
       if (tracer_.enabled()) {
         // Heal marker per partitioned node, on its own shard + ordering lane
         // (same pattern as the churn toggles above).
         for (const auto p : fault_plan_.partitioned()) {
-          sim::Engine* eng = &engine_->engine_for(p);
+          sim::Engine* eng = &net_.engine().engine_for(p);
           eng->schedule_as(sim::Engine::lane_of_actor(p), pend,
                            [this, p, eng, heal = lf.partition_heal]() {
                              obs::emit(tracer_.sink(p),
@@ -278,7 +277,7 @@ core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
       }
     }
     if (lf.bw_collapse_fraction > 0) {
-      transport_->set_bw_window(slot_start + lf.bw_offset,
+      net_.transport().set_bw_window(slot_start + lf.bw_offset,
                                 slot_start + lf.bw_offset + lf.bw_duration);
     }
   }
@@ -315,7 +314,7 @@ core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
   const auto report =
       builder_->seed(slot, *assignment_, builder_view_, plan, harness_rng_);
 
-  engine_->run_until(slot_start + cfg_.slot_duration);
+  net_.engine().run_until(slot_start + cfg_.slot_duration);
 
   // Collect per-node records (correct nodes only; faulty nodes — dead,
   // byzantine, withholding, … — are not part of the population whose
@@ -536,15 +535,15 @@ void PandasExperiment::collect_obs(sim::Time slot_start) {
 
 void PandasExperiment::collect_run_metrics() {
   if (!registry_.enabled()) return;
+  const sim::ParallelEngine& engine = net_.engine();
   // Gauges (idempotent set) so mid-run snapshots and the final export agree.
   registry_.gauge("engine_events_executed")
-      .set(static_cast<double>(engine_->executed()));
+      .set(static_cast<double>(engine.executed()));
   if (cfg_.obs.wall_metrics) {
     // Wall time is not a function of the seed, and the scheduler/queue
-    // gauges below depend on which engine (wheel vs PANDAS_ENGINE=heap) is
-    // running and on the shard layout (--sim-threads); exporting them is an
-    // explicit opt-out of the byte-identical metrics guarantee.
-    const auto prof = engine_->merged_profile();
+    // gauges below depend on the shard layout (--sim-threads); exporting
+    // them is an explicit opt-out of the byte-identical metrics guarantee.
+    const auto prof = engine.merged_profile();
     registry_.gauge("engine_peak_queue_depth")
         .set(static_cast<double>(prof.peak_queue_depth));
     registry_.gauge("engine_wall_seconds").set(prof.wall_seconds);
@@ -552,12 +551,12 @@ void PandasExperiment::collect_run_metrics() {
         .set(prof.wall_per_sim_second());
     registry_.gauge("engine_events_per_sec").set(prof.events_per_wall_second());
     registry_.gauge("engine_scheduler_allocs")
-        .set(static_cast<double>(engine_->scheduler_allocs()));
+        .set(static_cast<double>(engine.scheduler_allocs()));
     registry_.gauge("engine_event_capacity")
-        .set(static_cast<double>(engine_->event_capacity()));
+        .set(static_cast<double>(engine.event_capacity()));
     registry_.gauge("engine_threads")
-        .set(static_cast<double>(engine_->shards()));
-    const auto& ws = engine_->window_stats();
+        .set(static_cast<double>(engine.shards()));
+    const auto& ws = engine.window_stats();
     registry_.gauge("engine_windows").set(static_cast<double>(ws.windows));
     registry_.gauge("engine_lane_events")
         .set(static_cast<double>(ws.lane_events));
@@ -586,7 +585,7 @@ void PandasExperiment::collect_run_metrics() {
         .set(static_cast<double>(partition_heals_));
   }
 
-  const auto totals = transport_->typed_totals();
+  const auto totals = net_.transport().typed_totals();
   for (std::size_t c = 0; c < net::kMsgClassCount; ++c) {
     const auto lbl = obs::label(
         "class", net::msg_class_name(static_cast<net::MsgClass>(c)));

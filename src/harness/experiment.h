@@ -42,6 +42,43 @@ struct NetworkConfig {
   std::uint32_t sim_threads = 1;
 };
 
+/// Largest `sim_threads` the command-line tools accept: every shard beyond
+/// the first is an OS thread.
+inline constexpr std::uint32_t kMaxSimThreads = 64;
+
+/// The simulated network every experiment runs on (§8.1): the sharded
+/// engine, the latency topology, the transport over both, `nodes` node
+/// vertices and one builder on a well-connected vertex. PANDAS and both
+/// baselines construct their network here, so the three are built alike.
+///
+/// Placement draws from the caller's RNG in a fixed order: one vertex per
+/// node (reusing vertices when the network outgrows the topology, as the
+/// paper does for N > 10,000), then the builder's vertex. Neither copyable
+/// nor movable: the transport and the components built on it keep
+/// references to the engine and the topology.
+class SimNetwork {
+ public:
+  SimNetwork(const NetworkConfig& cfg, util::Xoshiro256& placement_rng);
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
+
+  [[nodiscard]] sim::ParallelEngine& engine() noexcept { return engine_; }
+  [[nodiscard]] const sim::Topology& topology() const noexcept {
+    return topology_;
+  }
+  [[nodiscard]] net::SimTransport& transport() noexcept { return transport_; }
+  /// Transport index of the builder (= cfg.nodes).
+  [[nodiscard]] net::NodeIndex builder_index() const noexcept {
+    return builder_index_;
+  }
+
+ private:
+  sim::ParallelEngine engine_;
+  sim::Topology topology_;
+  net::SimTransport transport_;
+  net::NodeIndex builder_index_ = net::kInvalidNode;
+};
+
 /// Observability switches, shared by PANDAS and baseline harnesses. All off
 /// by default: a run without exporters carries no tracing pointers, no
 /// registry entries and no engine clock reads.
@@ -72,12 +109,10 @@ struct PandasConfig {
   core::ProtocolParams params{};
   core::SeedingPolicy policy = core::SeedingPolicy::redundant(8);
   std::uint32_t slots = 10;
-  /// Fraction of dead (crashed / free-riding) nodes (Fig 15a). Legacy knob:
-  /// folded into `faults.dead_fraction` when that one is 0.
-  double dead_fraction = 0.0;
   /// Adversarial fault injection (src/fault, docs/FAULTS.md): behavior
-  /// fractions, per-behavior knobs, and builder misbehavior. The plan is
-  /// drawn deterministically from (faults, seed) at setup.
+  /// fractions (fail-silent `dead_fraction` is Fig 15a), per-behavior knobs,
+  /// and builder misbehavior. The plan is drawn deterministically from
+  /// (faults, seed) at setup.
   fault::FaultConfig faults{};
   /// Fraction of the network *missing* from each node's view (Fig 15b);
   /// 0.2 means every node sees a random 80% of the network.
@@ -166,11 +201,13 @@ class PandasExperiment {
   /// Access for white-box tests. engine() is shard 0 — with the default
   /// sim_threads = 1 that is the only engine, and its clock is authoritative
   /// between windows in any layout.
-  [[nodiscard]] sim::Engine& engine() { return engine_->shard(0); }
-  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return *engine_; }
-  [[nodiscard]] net::SimTransport& transport() { return *transport_; }
+  [[nodiscard]] sim::Engine& engine() { return net_.engine().shard(0); }
+  [[nodiscard]] sim::ParallelEngine& parallel_engine() { return net_.engine(); }
+  [[nodiscard]] net::SimTransport& transport() { return net_.transport(); }
   [[nodiscard]] core::PandasNode& node(net::NodeIndex i) { return *nodes_[i]; }
-  [[nodiscard]] net::NodeIndex builder_index() const { return builder_index_; }
+  [[nodiscard]] net::NodeIndex builder_index() const {
+    return net_.builder_index();
+  }
   [[nodiscard]] const core::AssignmentTable& assignment() const {
     return *assignment_;
   }
@@ -221,9 +258,9 @@ class PandasExperiment {
   void collect_obs(sim::Time slot_start);
 
   PandasConfig cfg_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  sim::Topology topology_;
-  std::unique_ptr<net::SimTransport> transport_;
+  util::Xoshiro256 harness_rng_;
+  /// Declared before every component holding references into it.
+  SimNetwork net_;
   net::Directory directory_;
   std::unique_ptr<core::AssignmentTable> assignment_;
   std::vector<core::View> views_;
@@ -235,8 +272,6 @@ class PandasExperiment {
   fault::FaultPlan fault_plan_;
   std::unique_ptr<core::Builder> builder_;
   core::View builder_view_;
-  net::NodeIndex builder_index_ = net::kInvalidNode;
-  util::Xoshiro256 harness_rng_;
   std::vector<sim::Time> block_arrival_;  // per node, per current slot
   std::uint64_t current_epoch_ = 0;
   obs::Tracer tracer_;

@@ -37,7 +37,9 @@
 ///   --bw-duration-ms N      collapse window length
 ///   --hedged                enable RTO-driven hedged duplicate queries
 ///
-/// Behavior fractions draw disjoint node sets, so they must sum to <= 1.
+/// Every fraction must lie in [0, 1], and the behavior fractions draw
+/// disjoint node sets, so they must sum to <= 1; a value breaking either rule
+/// exits 2 with `<flag>: bad value '<v>'`.
 namespace pandas::harness {
 
 struct FaultCli {
@@ -49,12 +51,22 @@ struct FaultCli {
   [[nodiscard]] static FaultCli parse(const Args& args) {
     FaultCli cli;
     auto& f = cli.faults;
-    f.dead_fraction = args.get_double("--dead", 0.0);
-    f.byzantine_fraction = args.get_double("--byzantine", 0.0);
-    f.withhold_fraction = args.get_double("--withhold", 0.0);
-    f.freerider_fraction = args.get_double("--freerider", 0.0);
-    f.straggler_fraction = args.get_double("--straggler", 0.0);
-    f.churn_fraction = args.get_double("--churn", 0.0);
+    const auto fraction = [&args](const char* flag) {
+      return args.get_double(flag, 0.0, 0.0, 1.0);
+    };
+    // Behavior flags in FaultConfig::behavior_overflow() order.
+    static constexpr const char* kBehaviorFlags[] = {
+        "--dead", "--byzantine", "--withhold",
+        "--freerider", "--straggler", "--churn"};
+    f.dead_fraction = fraction(kBehaviorFlags[0]);
+    f.byzantine_fraction = fraction(kBehaviorFlags[1]);
+    f.withhold_fraction = fraction(kBehaviorFlags[2]);
+    f.freerider_fraction = fraction(kBehaviorFlags[3]);
+    f.straggler_fraction = fraction(kBehaviorFlags[4]);
+    f.churn_fraction = fraction(kBehaviorFlags[5]);
+    if (const int k = f.behavior_overflow(); k >= 0) {
+      args.reject(kBehaviorFlags[k]);
+    }
     f.corrupt_rate = args.get_double("--corrupt-rate", f.corrupt_rate);
     f.withhold_serve_cap = static_cast<std::uint32_t>(
         args.get_int("--withhold-cap", f.withhold_serve_cap));
@@ -67,25 +79,25 @@ struct FaultCli {
                        sim::kMillisecond;
     f.builder.corrupt = args.has("--builder-corrupt");
     f.builder.withhold_threshold = args.has("--builder-withhold");
-    f.partition_fraction = args.get_double("--partition", 0.0);
+    f.partition_fraction = fraction("--partition");
     f.partition_heal = args.get_int("--partition-heal-ms",
                                     f.partition_heal / sim::kMillisecond) *
                        sim::kMillisecond;
     f.partition_offset = args.get_int("--partition-offset-ms",
                                       f.partition_offset / sim::kMillisecond) *
                          sim::kMillisecond;
-    f.flap_fraction = args.get_double("--flap", 0.0);
+    f.flap_fraction = fraction("--flap");
     f.flap_period = args.get_int("--flap-period-ms",
                                  f.flap_period / sim::kMillisecond) *
                     sim::kMillisecond;
     f.flap_down =
         args.get_int("--flap-down-ms", f.flap_down / sim::kMillisecond) *
         sim::kMillisecond;
-    f.burst_fraction = args.get_double("--loss-burst", 0.0);
+    f.burst_fraction = fraction("--loss-burst");
     f.ge_p_enter = args.get_double("--ge-p-enter", f.ge_p_enter);
     f.ge_p_exit = args.get_double("--ge-p-exit", f.ge_p_exit);
     f.ge_loss_bad = args.get_double("--ge-loss-bad", f.ge_loss_bad);
-    f.bw_collapse_fraction = args.get_double("--bw-collapse", 0.0);
+    f.bw_collapse_fraction = fraction("--bw-collapse");
     f.bw_factor = args.get_double("--bw-factor", f.bw_factor);
     f.bw_offset =
         args.get_int("--bw-offset-ms", f.bw_offset / sim::kMillisecond) *

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,9 +27,9 @@
 ///                           attribution.h); enables causal collection
 ///   --json                  machine-readable snapshot(s) on stdout instead
 ///                           of the human report
-///   --sim-threads N         engine shards for parallel execution (default 1
-///                           = serial engine; any N exports byte-identical
-///                           results, see docs/SIMULATION.md)
+///   --sim-threads N         engine shards for parallel execution, 1..64
+///                           (default 1 = serial engine; any N exports
+///                           byte-identical results, see docs/SIMULATION.md)
 ///
 /// Multi-configuration benches call finish() once per experiment with a
 /// config label: export filenames get ".<label>" inserted before the
@@ -62,7 +61,7 @@ struct ObsCli {
     cli.wall = args.has("--metrics-wall");
     cli.trace_flows = args.has("--trace-flows");
     cli.sim_threads = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, args.get_int("--sim-threads", 1)));
+        args.get_int("--sim-threads", 1, 1, kMaxSimThreads));
     // Fail fast on unwritable export paths instead of after a full run. The
     // probe writes valid-but-empty exports: when every finish() call is
     // labeled, the unsuffixed path keeps this stub instead of garbage.

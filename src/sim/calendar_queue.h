@@ -20,13 +20,12 @@
 /// allocations.
 ///
 /// Ordering contract (the determinism contract, docs/SIMULATION.md): events
-/// execute in ascending (time, key) order, exactly like the binary-heap
-/// scheduler this replaces. Level-0 slots are one microsecond wide, so a
-/// popped bucket holds events of a single timestamp; sorting that bucket by
-/// the per-instant-unique key restores the global (time, key) order no
-/// matter which cascade path each event took to get there. `scripts/tier1.sh`
-/// enforces the contract end-to-end by diffing exports against the heap
-/// engine (`PANDAS_ENGINE=heap`).
+/// execute in ascending (time, key) order. Level-0 slots are one microsecond
+/// wide, so a popped bucket holds events of a single timestamp; sorting that
+/// bucket by the per-instant-unique key restores the global (time, key)
+/// order no matter which cascade path each event took to get there.
+/// `Engine.WheelMatchesHeapOnRandomWorkload` (tests/sim_test.cpp) checks the
+/// contract against a reference priority queue.
 namespace pandas::sim {
 
 class CalendarQueue {

@@ -3,36 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <limits>
 #include <stdexcept>
 
 namespace pandas::sim {
 
-namespace {
-
-SchedulerKind scheduler_from_env() {
-  const char* env = std::getenv("PANDAS_ENGINE");
-  if (env != nullptr && std::strcmp(env, "heap") == 0) {
-    return SchedulerKind::kHeap;
-  }
-  return SchedulerKind::kWheel;
-}
-
-}  // namespace
-
 std::string format_time(Time t) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.1f ms", to_ms(t));
   return buf;
 }
-
-Engine::Engine(std::uint64_t seed) : Engine(seed, scheduler_from_env()) {}
-
-Engine::Engine(std::uint64_t seed, SchedulerKind kind)
-    : kind_(kind), rng_(seed), seed_(seed) {}
 
 std::uint64_t Engine::next_key(std::uint32_t lane) {
   if (lane >= lane_seq_.size()) lane_seq_.resize(lane + 1, 0);
@@ -43,8 +24,7 @@ void Engine::schedule_as(std::uint32_t lane, Time t, Callback fn) {
   std::uint64_t key = next_key(lane);
   // Scheduling at the instant currently executing sorts after every event of
   // that instant already queued, regardless of lane — the global-FIFO
-  // behavior of the original monotone sequence counter, and the one ordering
-  // both schedulers implement identically for mid-instant insertions.
+  // behavior of the original monotone sequence counter.
   if (t == now_) key |= kLateKey;
   schedule_keyed(t, key, std::move(fn));
 }
@@ -53,40 +33,15 @@ void Engine::schedule_keyed(Time t, std::uint64_t key, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time in the past");
   }
-  if (kind_ == SchedulerKind::kHeap) {
-    if (heap_.size() == heap_.capacity()) ++heap_allocs_;
-    heap_.push_back(HeapEvent{t, key, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    wheel_.push(t, key, std::move(fn));
-  }
+  wheel_.push(t, key, std::move(fn));
   if (profiling_) {
     const std::size_t depth = pending();
     if (depth > profile_.peak_queue_depth) profile_.peak_queue_depth = depth;
   }
 }
 
-std::optional<Time> Engine::peek_time_() {
-  if (kind_ == SchedulerKind::kHeap) {
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().time;
-  }
-  return wheel_.next_time();
-}
-
 std::uint64_t Engine::drain_until_(Time limit) {
   std::uint64_t n = 0;
-  if (kind_ == SchedulerKind::kHeap) {
-    while (!heap_.empty() && heap_.front().time <= limit) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      HeapEvent ev = std::move(heap_.back());
-      heap_.pop_back();
-      now_ = std::max(now_, ev.time);
-      ev.fn();
-      ++n;
-    }
-    return n;
-  }
   for (;;) {
     const auto t = wheel_.next_time();
     if (!t || *t > limit) break;
@@ -97,7 +52,7 @@ std::uint64_t Engine::drain_until_(Time limit) {
     for (std::size_t k = 0; k < bucket_.size(); ++k) {
       if (clear_epoch_ != epoch) {
         // clear() ran inside a callback: the rest of this instant's events
-        // are pending-and-discarded, same as under the heap scheduler.
+        // are pending-and-discarded.
         for (std::size_t j = k; j < bucket_.size(); ++j) {
           wheel_.discard(bucket_[j]);
         }
@@ -138,13 +93,9 @@ std::uint64_t Engine::run_until(Time limit) {
 }
 
 void Engine::clear() {
-  if (kind_ == SchedulerKind::kHeap) {
-    heap_.clear();  // keeps capacity: the pool stays warm across slots
-  } else {
-    wheel_.clear();
-    detached_ = 0;
-    ++clear_epoch_;
-  }
+  wheel_.clear();
+  detached_ = 0;
+  ++clear_epoch_;
 }
 
 std::uint64_t Engine::run_realtime(Time duration,
@@ -170,7 +121,7 @@ std::uint64_t Engine::run_realtime(Time duration,
 
     // Sleep/poll until the next timer or for a small bounded interval.
     Time max_wait = virtual_start + duration - wall;
-    if (const auto next = peek_time_(); next.has_value()) {
+    if (const auto next = wheel_.next_time(); next.has_value()) {
       max_wait = std::min(max_wait, *next - wall);
     }
     max_wait = std::clamp<Time>(max_wait, 0, 20 * kMillisecond);

@@ -20,18 +20,11 @@
 /// actors across threads and still produce bit-identical runs; the full
 /// determinism contract is written down in docs/SIMULATION.md.
 ///
-/// Two interchangeable schedulers implement that contract:
-///  - `kWheel` (default): a hierarchical calendar queue (sim/calendar_queue.h)
-///    over a slab-pooled event store. O(1) amortized per event and zero heap
-///    allocations in steady state — the scheduler that makes 20k-node sweeps
-///    tractable.
-///  - `kHeap`: the original binary-heap ordering, kept as the A/B baseline.
-///    Select it with the environment variable `PANDAS_ENGINE=heap`; same-seed
-///    runs export byte-identical results under either scheduler (enforced by
-///    scripts/tier1.sh).
+/// The scheduler is a hierarchical calendar queue (sim/calendar_queue.h) over
+/// a slab-pooled event store: O(1) amortized per event and zero
+/// allocations in steady state — what makes 20k-node sweeps tractable.
+/// tests/sim_test.cpp checks its order against a reference priority queue.
 namespace pandas::sim {
-
-enum class SchedulerKind : std::uint8_t { kWheel, kHeap };
 
 class Engine {
  public:
@@ -40,11 +33,7 @@ class Engine {
   /// component-owned pools instead of the closure.
   using Callback = InlineCallback;
 
-  /// Scheduler selection defaults to the `PANDAS_ENGINE` environment
-  /// variable ("heap" selects the binary-heap baseline, anything else the
-  /// calendar queue).
-  explicit Engine(std::uint64_t seed = 1);
-  Engine(std::uint64_t seed, SchedulerKind kind);
+  explicit Engine(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
@@ -93,7 +82,9 @@ class Engine {
   /// Earliest pending timestamp, or nullopt when idle (may migrate wheel
   /// overflow, never advances the clock). ParallelEngine uses this to pick
   /// each safe window's base time.
-  [[nodiscard]] std::optional<Time> next_event_time() { return peek_time_(); }
+  [[nodiscard]] std::optional<Time> next_event_time() {
+    return wheel_.next_time();
+  }
 
   /// Runs events until the queue empties or the clock passes `limit`.
   /// Returns the number of events executed.
@@ -111,33 +102,25 @@ class Engine {
 
   /// Discards all pending events (used between slots by the harness). Safe
   /// to call from inside a running callback: the rest of the current
-  /// instant's events are dropped too, exactly as under the heap scheduler.
+  /// instant's events are dropped too.
   void clear();
 
   /// Events scheduled but not yet executed.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return kind_ == SchedulerKind::kHeap ? heap_.size()
-                                         : wheel_.size() + detached_;
+    return wheel_.size() + detached_;
   }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Which scheduler this engine runs ("wheel" or "heap").
-  [[nodiscard]] SchedulerKind scheduler() const noexcept { return kind_; }
-  [[nodiscard]] const char* scheduler_name() const noexcept {
-    return kind_ == SchedulerKind::kHeap ? "heap" : "wheel";
-  }
-
-  /// Number of times a scheduler container grew (event slab / heap vector /
-  /// overflow list). Constant across a window of steady-state scheduling —
-  /// i.e. zero allocations — once the pools are warm; bench_micro's engine
-  /// benchmark asserts this.
+  /// Number of times a scheduler container grew (event slab / overflow
+  /// list). Constant across a window of steady-state scheduling — i.e. zero
+  /// allocations — once the pools are warm; bench_micro's engine benchmark
+  /// asserts this.
   [[nodiscard]] std::uint64_t scheduler_allocs() const noexcept {
-    return kind_ == SchedulerKind::kHeap ? heap_allocs_ : wheel_.alloc_count();
+    return wheel_.alloc_count();
   }
-  /// Current event-storage capacity (slots), mode-specific.
+  /// Current event-storage capacity (event slab slots).
   [[nodiscard]] std::size_t event_capacity() const noexcept {
-    return kind_ == SchedulerKind::kHeap ? heap_.capacity()
-                                         : wheel_.slab_capacity();
+    return wheel_.slab_capacity();
   }
 
   /// Engine-level profiling for the observability layer: peak event-queue
@@ -154,7 +137,7 @@ class Engine {
     /// Events executed inside profiled run_until() calls.
     std::uint64_t events = 0;
     /// Snapshot of scheduler_allocs()/event_capacity() at the end of the
-    /// last profiled run (mode-specific; see docs/SIMULATION.md).
+    /// last profiled run (see docs/SIMULATION.md).
     std::uint64_t scheduler_allocs = 0;
     std::uint64_t event_capacity = 0;
 
@@ -185,29 +168,14 @@ class Engine {
   }
 
  private:
-  struct HeapEvent {
-    Time time;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   /// Executes every event with time <= limit, setting now_ = max(now_, t).
   /// Shared by run_until and run_realtime; returns the number executed.
   std::uint64_t drain_until_(Time limit);
-  /// Earliest pending timestamp, if any (may migrate wheel overflow).
-  [[nodiscard]] std::optional<Time> peek_time_();
 
   Time now_ = 0;
   /// Per-lane key counters, grown on first use of a lane.
   std::vector<std::uint64_t> lane_seq_;
   std::uint64_t executed_ = 0;
-  SchedulerKind kind_;
   CalendarQueue wheel_;
   /// Bucket detached by the wheel for the instant being executed.
   std::vector<CalendarQueue::EventIndex> bucket_;
@@ -215,10 +183,6 @@ class Engine {
   std::size_t detached_ = 0;
   /// Bumped by clear() so an in-flight bucket knows to drop its remainder.
   std::uint64_t clear_epoch_ = 0;
-  /// Heap mode: std::push_heap/pop_heap over an owned vector (rather than
-  /// std::priority_queue) so capacity growth is observable.
-  std::vector<HeapEvent> heap_;
-  std::uint64_t heap_allocs_ = 0;
   util::Xoshiro256 rng_;
   std::uint64_t seed_;
   bool profiling_ = false;

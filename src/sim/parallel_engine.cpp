@@ -16,17 +16,6 @@ ParallelEngine::ParallelEngine(std::uint64_t seed, std::uint32_t shards) {
   if (shards > 1) pool_ = std::make_unique<util::ThreadPool>(shards - 1);
 }
 
-ParallelEngine::ParallelEngine(std::uint64_t seed, std::uint32_t shards,
-                               SchedulerKind kind) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Engine>(seed, kind));
-  }
-  counts_.assign(shards, 0);
-  if (shards > 1) pool_ = std::make_unique<util::ThreadPool>(shards - 1);
-}
-
 ParallelEngine::~ParallelEngine() = default;
 
 void ParallelEngine::set_lookahead(Time lookahead) {

@@ -50,10 +50,8 @@ class ParallelEngine {
   };
 
   /// `shards` per-thread engines, all seeded identically (rng_stream stays a
-  /// pure function of seed + stream id). Scheduler kind defaults to the
-  /// PANDAS_ENGINE environment selection, like Engine itself.
+  /// pure function of seed + stream id).
   explicit ParallelEngine(std::uint64_t seed, std::uint32_t shards = 1);
-  ParallelEngine(std::uint64_t seed, std::uint32_t shards, SchedulerKind kind);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;

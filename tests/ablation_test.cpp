@@ -27,7 +27,7 @@ PandasConfig base_config() {
 TEST(Ablation, AdaptiveFetchingBeatsConstant) {
   auto cfg = base_config();
   // Inject loss + dead nodes so retries matter.
-  cfg.dead_fraction = 0.15;
+  cfg.faults.dead_fraction = 0.15;
   const auto adaptive = PandasExperiment(cfg).run();
   cfg.params.adaptive = false;
   const auto constant = PandasExperiment(cfg).run();

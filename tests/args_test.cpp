@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "harness/args.h"
+#include "harness/fault_cli.h"
+#include "harness/obs_cli.h"
 
 namespace pandas::harness {
 namespace {
@@ -102,6 +104,75 @@ TEST(Args, Int64ExtremesStillParse) {
   const Args args = argv.args();
   EXPECT_EQ(args.get_int("--max", 0), INT64_MAX);
   EXPECT_EQ(args.get_int("--min", 0), INT64_MIN);
+}
+
+TEST(Args, RangedValuesInsideTheRangeParse) {
+  Argv argv({"--threads", "64", "--dead", "0"});
+  const Args args = argv.args();
+  EXPECT_EQ(args.get_int("--threads", 4, 1, 64), 64);
+  EXPECT_EQ(args.get_int("--slots", 3, 1, 64), 3);  // absent: fallback
+  EXPECT_DOUBLE_EQ(args.get_double("--dead", 0.3, 0.0, 1.0), 0.0);
+}
+
+TEST_F(ArgsDeathTest, RangedValuesOutsideTheRangeExitTwo) {
+  // bench_soak's --threads: -1 must not wrap to ~4 billion shards.
+  for (const std::string v : {"-1", "0", "65"}) {
+    Argv argv({"--threads", v});
+    EXPECT_EXIT((void)argv.args().get_int("--threads", 4, 1, 64),
+                ::testing::ExitedWithCode(2), "--threads: bad value '" + v + "'")
+        << "value '" << v << "'";
+  }
+  for (const std::string v : {"-0.1", "1.5"}) {
+    Argv argv({"--dead", v});
+    EXPECT_EXIT((void)argv.args().get_double("--dead", 0.3, 0.0, 1.0),
+                ::testing::ExitedWithCode(2), "--dead: bad value '" + v + "'")
+        << "value '" << v << "'";
+  }
+}
+
+TEST(ObsCli, SimThreadsWithinOneTo64Parse) {
+  for (const std::string v : {"1", "8", "64"}) {
+    Argv argv({"--sim-threads", v});
+    EXPECT_EQ(ObsCli::parse(argv.args()).sim_threads, std::stoul(v));
+  }
+}
+
+TEST_F(ArgsDeathTest, SimThreadsOutsideOneTo64ExitTwo) {
+  for (const std::string v : {"0", "-3", "65"}) {
+    Argv argv({"--sim-threads", v});
+    EXPECT_EXIT((void)ObsCli::parse(argv.args()), ::testing::ExitedWithCode(2),
+                "--sim-threads: bad value '" + v + "'")
+        << "value '" << v << "'";
+  }
+}
+
+TEST(FaultCli, FractionsSummingToOneParse) {
+  // 0.34 + 0.56 + 0.1 rounds to just above 1; the check allows for that.
+  Argv argv({"--dead", "0.34", "--byzantine", "0.56", "--churn", "0.1",
+             "--partition", "1"});
+  const auto cli = FaultCli::parse(argv.args());
+  EXPECT_DOUBLE_EQ(cli.faults.churn_fraction, 0.1);
+  EXPECT_DOUBLE_EQ(cli.faults.partition_fraction, 1.0);
+}
+
+TEST_F(ArgsDeathTest, FaultFractionOutsideZeroOneExitsTwo) {
+  for (const std::string flag :
+       {"--dead", "--straggler", "--partition", "--loss-burst"}) {
+    for (const std::string v : {"-0.5", "1.01"}) {
+      Argv argv({flag, v});
+      EXPECT_EXIT((void)FaultCli::parse(argv.args()),
+                  ::testing::ExitedWithCode(2),
+                  flag + ": bad value '" + v + "'")
+          << flag << " " << v;
+    }
+  }
+}
+
+TEST_F(ArgsDeathTest, BehaviorFractionsSummingAboveOneExitTwo) {
+  // The flag whose value pushes the sum past 1 is the one named.
+  Argv argv({"--dead", "0.6", "--withhold", "0.3", "--churn", "0.2"});
+  EXPECT_EXIT((void)FaultCli::parse(argv.args()), ::testing::ExitedWithCode(2),
+              "--churn: bad value '0.2'");
 }
 
 }  // namespace

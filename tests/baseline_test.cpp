@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/baseline_experiments.h"
 
 namespace pandas::harness {
@@ -110,6 +112,50 @@ TEST(DhtDasBaseline, BuilderStoresAllParcels) {
     stored += exp.node(i).dht().storage().size();
   }
   EXPECT_GT(stored, cfg.params.matrix_n);  // ~8 replicas per parcel
+}
+
+// ------------------------------------------------------------ determinism
+// Same seed => identical results, run twice and serial vs sharded over two
+// engine threads (the determinism contract of docs/SIMULATION.md).
+
+void expect_same(const BaselineResults& a, const BaselineResults& b,
+                 const std::string& label) {
+  EXPECT_EQ(a.custody_ms.values(), b.custody_ms.values()) << label;
+  EXPECT_EQ(a.sampling_ms.values(), b.sampling_ms.values()) << label;
+  EXPECT_EQ(a.messages.values(), b.messages.values()) << label;
+  EXPECT_EQ(a.traffic_mb.values(), b.traffic_mb.values()) << label;
+  EXPECT_EQ(a.sampling_misses, b.sampling_misses) << label;
+  EXPECT_EQ(a.records, b.records) << label;
+}
+
+template <class Experiment, class Config>
+void expect_deterministic(Config cfg) {
+  cfg.net.sim_threads = 1;
+  const auto first = Experiment(cfg).run();
+  ASSERT_GT(first.sampling_ms.count(), 0u);
+  expect_same(Experiment(cfg).run(), first, "rerun");
+  cfg.net.sim_threads = 2;
+  expect_same(Experiment(cfg).run(), first, "sim_threads 2");
+}
+
+TEST(GossipDasBaseline, SameSeedSameResultsForAnyThreadCount) {
+  GossipDasConfig cfg;
+  cfg.net.nodes = 80;
+  cfg.net.seed = 5;
+  cfg.net.topology.vertices = 300;
+  cfg.params = small_params();
+  cfg.slots = 1;
+  expect_deterministic<GossipDasExperiment>(cfg);
+}
+
+TEST(DhtDasBaseline, SameSeedSameResultsForAnyThreadCount) {
+  DhtDasConfig cfg;
+  cfg.net.nodes = 60;
+  cfg.net.seed = 5;
+  cfg.net.topology.vertices = 300;
+  cfg.params = small_params();
+  cfg.slots = 1;
+  expect_deterministic<DhtDasExperiment>(cfg);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/reputation.h"
 #include "fault/fault.h"
 #include "harness/experiment.h"
@@ -39,6 +42,42 @@ TEST(FaultPlan, DeterministicForSameConfigAndSeed) {
     EXPECT_EQ(a.of(i).churn_offset, b.of(i).churn_offset);
   }
   EXPECT_EQ(a.churners(), b.churners());
+}
+
+TEST(FaultPlan, RejectsFractionsOutsideZeroOne) {
+  const auto generate = [](auto&& set) {
+    fault::FaultConfig cfg;
+    set(cfg);
+    return fault::FaultPlan::generate(cfg, 100, 1);
+  };
+  EXPECT_THROW(generate([](auto& c) { c.dead_fraction = -0.1; }),
+               std::invalid_argument);
+  EXPECT_THROW(generate([](auto& c) { c.churn_fraction = 1.5; }),
+               std::invalid_argument);
+  EXPECT_THROW(generate([](auto& c) { c.partition_fraction = -1.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(generate([](auto& c) { c.bw_collapse_fraction = 2.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(generate([](auto& c) {
+                 c.straggler_fraction = std::numeric_limits<double>::quiet_NaN();
+               }),
+               std::invalid_argument);
+}
+
+TEST(FaultPlan, RejectsBehaviorFractionsSummingAboveOne) {
+  fault::FaultConfig cfg;
+  cfg.dead_fraction = 0.6;
+  cfg.byzantine_fraction = 0.5;
+  EXPECT_EQ(cfg.behavior_overflow(), 1);
+  EXPECT_THROW((void)fault::FaultPlan::generate(cfg, 100, 1),
+               std::invalid_argument);
+  // Exactly 1 (up to decimal rounding) is allowed and leaves no correct node.
+  cfg.dead_fraction = 0.34;
+  cfg.byzantine_fraction = 0.56;
+  cfg.withhold_fraction = 0.1;
+  EXPECT_EQ(cfg.behavior_overflow(), -1);
+  const auto plan = fault::FaultPlan::generate(cfg, 100, 1);
+  EXPECT_EQ(plan.faulty_count(), 100u);
 }
 
 TEST(FaultPlan, DedicatedSeedOverridesExperimentSeed) {

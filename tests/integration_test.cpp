@@ -112,7 +112,7 @@ TEST(PandasIntegration, BuilderEgressMatchesPolicyBudget) {
 
 TEST(PandasIntegration, DeadNodesDegradeGracefully) {
   auto cfg = small_config();
-  cfg.dead_fraction = 0.2;
+  cfg.faults.dead_fraction = 0.2;
   PandasExperiment exp(cfg);
   const auto res = exp.run();
   // Only correct nodes are measured.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -153,21 +152,18 @@ RunLog run_relay_serial() {
   return log;
 }
 
-RunLog run_relay_parallel(std::uint32_t shards,
-                          std::optional<sim::SchedulerKind> kind = {}) {
+RunLog run_relay_parallel(std::uint32_t shards) {
   const auto topo = test_topology();
-  auto peng = kind ? std::make_unique<sim::ParallelEngine>(kSeed, shards,
-                                                           *kind)
-                   : std::make_unique<sim::ParallelEngine>(kSeed, shards);
-  peng->set_lookahead(topo.min_owd());
-  net::SimTransport tr(*peng, topo);
+  sim::ParallelEngine peng(kSeed, shards);
+  peng.set_lookahead(topo.min_owd());
+  net::SimTransport tr(peng, topo);
   std::vector<util::Xoshiro256> rngs;
   RunLog log;
   wire_relay_workload(
       tr,
-      [&](std::uint32_t a) -> sim::Engine& { return peng->engine_for(a); },
+      [&](std::uint32_t a) -> sim::Engine& { return peng.engine_for(a); },
       rngs, log);
-  log.executed = peng->run_until(kHorizon);
+  log.executed = peng.run_until(kHorizon);
   log.totals = tr.typed_totals();
   return log;
 }
@@ -207,12 +203,6 @@ TEST(ParallelTransport, DeliveryLogsMatchSerialForAnyShardCount) {
     expect_equal(run_relay_parallel(shards), reference,
                  "shards=" + std::to_string(shards));
   }
-}
-
-TEST(ParallelTransport, HeapAndWheelAgreeWhenSharded) {
-  expect_equal(run_relay_parallel(4, sim::SchedulerKind::kHeap),
-               run_relay_parallel(4, sim::SchedulerKind::kWheel),
-               "heap-vs-wheel shards=4");
 }
 
 TEST(ParallelTransport, CrossShardSendsGoThroughLanes) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/engine.h"
@@ -89,23 +91,13 @@ TEST(Engine, ClearDropsPending) {
 }
 
 // ------------------------------------------------- scheduler edge cases
-// Everything below runs against both schedulers: the calendar queue (the
-// default) and the binary-heap baseline. Identical observable behaviour is
-// the determinism contract (docs/SIMULATION.md).
+// Calendar-queue corner cases: same-instant bursts, in-callback clears,
+// times beyond the wheel span, and the zero-allocation steady state.
 
-class EngineScheduler : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(EngineScheduler, ReportsItsKind) {
-  Engine engine(1, GetParam());
-  EXPECT_EQ(engine.scheduler(), GetParam());
-  EXPECT_STREQ(engine.scheduler_name(),
-               GetParam() == SchedulerKind::kHeap ? "heap" : "wheel");
-}
-
-TEST_P(EngineScheduler, SameInstantFifo10k) {
+TEST(EngineScheduler, SameInstantFifo10k) {
   // 10k events at one instant plus decoys on both sides; the same-instant
   // batch must run in exact scheduling order (monotone seq tie-break).
-  Engine engine(1, GetParam());
+  Engine engine;
   constexpr int kN = 10000;
   std::vector<int> order;
   order.reserve(kN);
@@ -119,8 +111,8 @@ TEST_P(EngineScheduler, SameInstantFifo10k) {
   for (int i = 0; i < kN; ++i) ASSERT_EQ(order[i], i);
 }
 
-TEST_P(EngineScheduler, ClearFromInsideCallbackDropsRestOfInstant) {
-  Engine engine(1, GetParam());
+TEST(EngineScheduler, ClearFromInsideCallbackDropsRestOfInstant) {
+  Engine engine;
   std::vector<int> order;
   engine.schedule_at(10, [&] { order.push_back(0); });
   engine.schedule_at(10, [&] {
@@ -138,10 +130,10 @@ TEST_P(EngineScheduler, ClearFromInsideCallbackDropsRestOfInstant) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 4}));
 }
 
-TEST_P(EngineScheduler, ScheduleAtCurrentInstantFromCallback) {
+TEST(EngineScheduler, ScheduleAtCurrentInstantFromCallback) {
   // An event scheduled for `now` from inside a callback still runs in this
   // drain, after every previously scheduled event of the same instant.
-  Engine engine(1, GetParam());
+  Engine engine;
   std::vector<int> order;
   engine.schedule_at(5, [&] {
     order.push_back(0);
@@ -153,10 +145,10 @@ TEST_P(EngineScheduler, ScheduleAtCurrentInstantFromCallback) {
   EXPECT_EQ(engine.now(), 5);
 }
 
-TEST_P(EngineScheduler, FarFutureTimesCrossTheWheelSpan) {
+TEST(EngineScheduler, FarFutureTimesCrossTheWheelSpan) {
   // Times beyond the wheel's 2^42 µs span (~52 days) park in the overflow
   // list and migrate in as the clock approaches; order must be unaffected.
-  Engine engine(1, GetParam());
+  Engine engine;
   constexpr Time kSpan = Time{1} << 42;
   std::vector<int> order;
   engine.schedule_at(3 * kSpan + 5, [&] { order.push_back(2); });
@@ -168,8 +160,8 @@ TEST_P(EngineScheduler, FarFutureTimesCrossTheWheelSpan) {
   EXPECT_EQ(engine.now(), Time{1} << 60);
 }
 
-TEST_P(EngineScheduler, RunUntilLeavesFarFutureEventsPending) {
-  Engine engine(1, GetParam());
+TEST(EngineScheduler, RunUntilLeavesFarFutureEventsPending) {
+  Engine engine;
   int fired = 0;
   engine.schedule_at((Time{1} << 50) + 7, [&] { ++fired; });
   EXPECT_EQ(engine.run_until(Time{1} << 50), 0u);
@@ -183,8 +175,8 @@ TEST_P(EngineScheduler, RunUntilLeavesFarFutureEventsPending) {
   EXPECT_EQ(order, (std::vector<int>{0}));
 }
 
-TEST_P(EngineScheduler, PendingCountsTheInstantBeingExecuted) {
-  Engine engine(1, GetParam());
+TEST(EngineScheduler, PendingCountsTheInstantBeingExecuted) {
+  Engine engine;
   std::vector<std::size_t> depths;
   for (int i = 0; i < 4; ++i) {
     engine.schedule_at(10, [&] { depths.push_back(engine.pending()); });
@@ -194,11 +186,11 @@ TEST_P(EngineScheduler, PendingCountsTheInstantBeingExecuted) {
   EXPECT_EQ(depths, (std::vector<std::size_t>{3, 2, 1, 0}));
 }
 
-TEST_P(EngineScheduler, SteadyStateSchedulesWithoutAllocating) {
-  // Self-rescheduling timers: once the pools are warm, neither scheduler
-  // grows a container (the zero-allocation criterion, measured for real by
+TEST(EngineScheduler, SteadyStateSchedulesWithoutAllocating) {
+  // Self-rescheduling timers: once the pools are warm, the scheduler grows
+  // no container (the zero-allocation criterion, measured for real by
   // bench_micro's BM_Engine_SteadyState).
-  Engine engine(1, GetParam());
+  Engine engine;
   struct Timer {
     Engine* eng;
     std::uint64_t salt;
@@ -217,8 +209,8 @@ TEST_P(EngineScheduler, SteadyStateSchedulesWithoutAllocating) {
   engine.clear();
 }
 
-TEST_P(EngineScheduler, ProfileCountsEventsAndDepth) {
-  Engine engine(1, GetParam());
+TEST(EngineScheduler, ProfileCountsEventsAndDepth) {
+  Engine engine;
   engine.set_profiling(true);
   for (int i = 0; i < 8; ++i) engine.schedule_at(10 + i, [] {});
   engine.run();
@@ -227,43 +219,85 @@ TEST_P(EngineScheduler, ProfileCountsEventsAndDepth) {
   EXPECT_GE(engine.profile().wall_seconds, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedulers, EngineScheduler,
-                         ::testing::Values(SchedulerKind::kWheel,
-                                           SchedulerKind::kHeap),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::kHeap ? "Heap"
-                                                                     : "Wheel";
-                         });
+// Reference scheduler for the ordering contract (docs/SIMULATION.md): a
+// binary heap on (time, key) with the engine's key rule — per-lane counters,
+// plus the late bit for events scheduled at the instant being executed.
+class ReferenceQueue {
+ public:
+  [[nodiscard]] Time now() const { return now_; }
+
+  void schedule_as(std::uint32_t lane, Time t, std::function<void()> fn) {
+    if (lane >= seq_.size()) seq_.resize(lane + 1, 0);
+    std::uint64_t key =
+        (static_cast<std::uint64_t>(lane) << Engine::kLaneShift) | seq_[lane]++;
+    if (t == now_) key |= Engine::kLateKey;
+    heap_.push_back(Event{t, key, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  void schedule_in_as(std::uint32_t lane, Time delay, std::function<void()> fn) {
+    schedule_as(lane, now_ + delay, std::move(fn));
+  }
+
+  void run() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      Event ev = std::move(heap_.back());
+      heap_.pop_back();
+      now_ = ev.time;
+      ev.fn();
+    }
+  }
+
+ private:
+  struct Event {
+    Time time;
+    std::uint64_t key;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time != b.time ? a.time > b.time : a.key > b.key;
+    }
+  };
+  std::vector<Event> heap_;
+  std::vector<std::uint64_t> seq_;
+  Time now_ = 0;
+};
+
+// A randomized workload of clustered timestamps, same-instant bursts across
+// several lanes, and nested rescheduling; returns the execution order.
+template <class Scheduler>
+std::vector<int> run_random_workload(Scheduler& sched) {
+  util::Xoshiro256 rng(99);
+  std::vector<int> order;
+  int next_id = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Coarse times force collisions; occasional far-future outliers
+    // exercise the wheel's higher levels and overflow list.
+    Time t = static_cast<Time>(rng.uniform(400));
+    if (rng.uniform(100) < 3) t += Time{1} << 44;
+    const auto lane = static_cast<std::uint32_t>(rng.uniform(4));
+    const int id = next_id++;
+    sched.schedule_as(lane, t, [&sched, &order, &next_id, id, lane] {
+      order.push_back(id);
+      if (id % 5 == 0) {
+        const int child = next_id++;
+        sched.schedule_in_as(lane, static_cast<Time>(id % 7),
+                             [&order, child] { order.push_back(child); });
+      }
+    });
+  }
+  sched.run();
+  return order;
+}
 
 TEST(Engine, WheelMatchesHeapOnRandomWorkload) {
-  // Property test for the determinism contract: a randomized workload of
-  // clustered timestamps, same-instant bursts, and nested rescheduling must
-  // execute in the identical order under both schedulers.
-  auto run_one = [](SchedulerKind kind) {
-    Engine engine(1, kind);
-    util::Xoshiro256 rng(99);
-    std::vector<int> order;
-    int next_id = 0;
-    for (int i = 0; i < 2000; ++i) {
-      // Coarse times force collisions; occasional far-future outliers
-      // exercise the wheel's higher levels and overflow list.
-      Time t = static_cast<Time>(rng.uniform(400));
-      if (rng.uniform(100) < 3) t += Time{1} << 44;
-      const int id = next_id++;
-      engine.schedule_at(t, [&engine, &order, &next_id, id] {
-        order.push_back(id);
-        if (id % 5 == 0) {
-          const int child = next_id++;
-          engine.schedule_in(static_cast<Time>(id % 7),
-                             [&order, child] { order.push_back(child); });
-        }
-      });
-    }
-    engine.run();
-    return order;
-  };
-  const auto wheel = run_one(SchedulerKind::kWheel);
-  const auto heap = run_one(SchedulerKind::kHeap);
+  // Property test for the determinism contract: the calendar queue executes
+  // the workload in exactly the reference heap's (time, key) order.
+  Engine engine;
+  ReferenceQueue reference;
+  const auto wheel = run_random_workload(engine);
+  const auto heap = run_random_workload(reference);
   ASSERT_EQ(wheel.size(), heap.size());
   EXPECT_EQ(wheel, heap);
 }
