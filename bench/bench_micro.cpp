@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the computational substrates:
 // SHA-256, GF(2^16) arithmetic, Reed-Solomon encode/decode at Danksharding
-// line parameters, 2-D blob extension, assignment computation, and the
-// event-queue hot path.
+// line parameters, 2-D blob extension, assignment computation, one adaptive
+// fetch round, and the event-queue hot path.
 //
 //   ./build/bench/bench_micro [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
 
 #include "core/assignment.h"
+#include "core/fetcher.h"
+#include "core/view.h"
 #include "crypto/sha256.h"
 #include "erasure/extended_blob.h"
 #include "erasure/kernels.h"
@@ -215,6 +217,47 @@ void BM_AssignmentTable_Build10k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AssignmentTable_Build10k)->Unit(benchmark::kMillisecond);
+
+// One adaptive-fetch round (paper §7) at production parameters: a fetcher on
+// an n=1000 network starts on a synthetic F — 64 random missing cells on
+// each of its 16 assigned lines plus 73 random samples, no boost map — and
+// plans its first round (gather, score, rank, plan) into a no-op sink. The
+// `queries` counter is the queries planned per round.
+void BM_FetcherRound(benchmark::State& state) {
+  const core::ProtocolParams params;
+  constexpr std::uint32_t kNodes = 1000;
+  constexpr net::NodeIndex kSelf = 17;
+  const auto dir = net::Directory::create(kNodes);
+  const core::AssignmentTable table(params, dir, core::epoch_seed(1, 0));
+  const core::View view = core::View::full(kNodes);
+  util::Xoshiro256 rng(5);
+  std::vector<net::CellId> needed;
+  for (const auto line : table.of(kSelf).lines()) {
+    for (const auto pos : rng.sample_distinct(params.matrix_n, 64)) {
+      const auto p = static_cast<std::uint16_t>(pos);
+      needed.push_back(line.kind == net::LineRef::Kind::kRow
+                           ? net::CellId{line.index, p}
+                           : net::CellId{p, line.index});
+    }
+  }
+  for (std::uint32_t i = 0; i < params.samples_per_node; ++i) {
+    needed.push_back({static_cast<std::uint16_t>(rng.uniform(params.matrix_n)),
+                      static_cast<std::uint16_t>(rng.uniform(params.matrix_n))});
+  }
+  sim::Engine engine(1);
+  std::uint64_t queries = 0;
+  for (auto _ : state) {
+    auto fetcher = std::make_shared<core::AdaptiveFetcher>(
+        engine, params, table, &view, kSelf, util::Xoshiro256(9));
+    fetcher->start(needed, {},
+                   [&queries](net::NodeIndex, std::vector<net::CellId>,
+                              std::uint32_t, bool) { ++queries; });
+    engine.clear();  // drops the next-round timer
+  }
+  state.counters["queries"] = benchmark::Counter(
+      static_cast<double>(queries), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FetcherRound)->Unit(benchmark::kMicrosecond);
 
 // Proof-tag generation with a reused scratch buffer (the overload the
 // builder-seeding and fetcher-reply paths use) vs the allocating form.

@@ -1,6 +1,7 @@
 #include "core/custody.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace pandas::core {
 
@@ -8,19 +9,18 @@ CustodyState::CustodyState(const ProtocolParams& params, AssignedLines lines)
     : params_(params), lines_(std::move(lines)) {
   line_bitmaps_.assign(lines_.rows.size() + lines_.cols.size(), {});
   line_complete_.assign(line_bitmaps_.size(), false);
-}
-
-int CustodyState::line_slot(net::LineRef line) const noexcept {
-  if (line.kind == net::LineRef::Kind::kRow) {
-    const auto it = std::lower_bound(lines_.rows.begin(), lines_.rows.end(),
-                                     line.index);
-    if (it == lines_.rows.end() || *it != line.index) return -1;
-    return static_cast<int>(it - lines_.rows.begin());
+  if (line_bitmaps_.size() >= kNoSlot) {
+    throw std::length_error("CustodyState: too many assigned lines");
   }
-  const auto it =
-      std::lower_bound(lines_.cols.begin(), lines_.cols.end(), line.index);
-  if (it == lines_.cols.end() || *it != line.index) return -1;
-  return static_cast<int>(lines_.rows.size() + (it - lines_.cols.begin()));
+  slot_of_.assign(2 * kLines, kNoSlot);
+  for (std::size_t s = 0; s < line_bitmaps_.size(); ++s) {
+    const net::LineRef line = slot_line(s);
+    if (line.index >= kLines) {
+      throw std::out_of_range("CustodyState: line outside the matrix");
+    }
+    std::uint8_t& slot = slot_of_[index_of(line)];
+    if (slot == kNoSlot) slot = static_cast<std::uint8_t>(s);
+  }
 }
 
 net::LineRef CustodyState::slot_line(std::size_t slot) const noexcept {
@@ -36,10 +36,13 @@ bool CustodyState::mark(std::size_t slot, std::uint32_t pos) noexcept {
 }
 
 bool CustodyState::has_cell(net::CellId cell) const noexcept {
+  // A cell of an assigned line is marked in that line's bitmap whenever it
+  // is held (add_cells and complete_line mark both crossing lines), and is
+  // never an extra.
   const int row_slot = line_slot(net::LineRef::row(cell.row));
-  if (row_slot >= 0 && line_bitmaps_[row_slot].test(cell.col)) return true;
+  if (row_slot >= 0) return line_bitmaps_[row_slot].test(cell.col);
   const int col_slot = line_slot(net::LineRef::col(cell.col));
-  if (col_slot >= 0 && line_bitmaps_[col_slot].test(cell.row)) return true;
+  if (col_slot >= 0) return line_bitmaps_[col_slot].test(cell.row);
   return extras_.count(cell.packed()) != 0;
 }
 

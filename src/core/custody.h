@@ -40,6 +40,14 @@ class CustodyState {
 
   [[nodiscard]] bool has_cell(net::CellId cell) const noexcept;
 
+  /// Held positions of an assigned line (for a cell of an assigned line this
+  /// agrees with has_cell), or nullptr if the line is not assigned.
+  [[nodiscard]] const util::Bitmap512* held_in_line(
+      net::LineRef line) const noexcept {
+    const int slot = line_slot(line);
+    return slot < 0 ? nullptr : &line_bitmaps_[slot];
+  }
+
   [[nodiscard]] bool line_complete(net::LineRef line) const noexcept;
   [[nodiscard]] std::uint32_t line_count(net::LineRef line) const noexcept;
   [[nodiscard]] bool all_lines_complete() const noexcept {
@@ -56,7 +64,14 @@ class CustodyState {
 
  private:
   /// Index into line_bitmaps_ for an assigned line; -1 if not assigned.
-  [[nodiscard]] int line_slot(net::LineRef line) const noexcept;
+  [[nodiscard]] int line_slot(net::LineRef line) const noexcept {
+    if (line.index >= kLines || slot_of_.empty()) return -1;
+    const std::uint8_t s = slot_of_[index_of(line)];
+    return s == kNoSlot ? -1 : s;
+  }
+  [[nodiscard]] static std::size_t index_of(net::LineRef line) noexcept {
+    return (line.kind == net::LineRef::Kind::kRow ? 0 : kLines) + line.index;
+  }
   [[nodiscard]] net::LineRef slot_line(std::size_t slot) const noexcept;
 
   /// Marks one cell inside an assigned line's bitmap; returns true if new.
@@ -66,8 +81,14 @@ class CustodyState {
   /// cascading into crossing assigned lines. Appends to `result`.
   void complete_line(std::size_t slot, AddResult& result);
 
+  static constexpr std::uint8_t kNoSlot = 0xff;
+  /// Lines per orientation the index covers: a line is a Bitmap512.
+  static constexpr std::size_t kLines = util::Bitmap512::kCapacity;
+
   ProtocolParams params_;
   AssignedLines lines_;
+  /// Line -> slot in line_bitmaps_ (rows, then cols), kNoSlot if unassigned.
+  std::vector<std::uint8_t> slot_of_;
   std::vector<util::Bitmap512> line_bitmaps_;  // rows then cols
   std::vector<bool> line_complete_;
   std::uint32_t complete_lines_ = 0;

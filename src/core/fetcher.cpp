@@ -1,11 +1,179 @@
 #include "core/fetcher.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 #include "core/reputation.h"
 #include "core/rtt.h"
 
 namespace pandas::core {
+
+// ------------------------------------------------------------------ FetchSet
+
+FetchSet::FetchSet(std::uint32_t matrix_n)
+    : n_(matrix_n), slot_of_(2 * static_cast<std::size_t>(matrix_n), kNoSlot) {}
+
+FetchSet::Line& FetchSet::line_for_add(net::LineRef line) {
+  std::uint16_t& s = slot_of_[index_of(line)];
+  if (s == kNoSlot) {
+    s = static_cast<std::uint16_t>(lines_.size());
+    lines_.emplace_back();
+    auto& list = line.kind == net::LineRef::Kind::kRow ? rows_ : cols_;
+    list.insert(std::lower_bound(list.begin(), list.end(), line.index),
+                line.index);
+  }
+  return lines_[s];
+}
+
+bool FetchSet::add(net::CellId cell) {
+  if (cell.row >= n_ || cell.col >= n_) {
+    throw std::out_of_range("FetchSet::add: cell outside the matrix");
+  }
+  Line& row = line_for_add(net::LineRef::row(cell.row));
+  if (row.missing.test(cell.col)) return false;
+  row.missing.set(cell.col);
+  ++row.count;
+  Line& col = line_for_add(net::LineRef::col(cell.col));
+  col.missing.set(cell.row);
+  ++col.count;
+  ++size_;
+  return true;
+}
+
+bool FetchSet::remove(net::CellId cell) noexcept {
+  if (!contains(cell)) return false;
+  Line& row = lines_[slot(net::LineRef::row(cell.row))];
+  row.missing.reset(cell.col);
+  --row.count;
+  Line& col = lines_[slot(net::LineRef::col(cell.col))];
+  col.missing.reset(cell.row);
+  --col.count;
+  --size_;
+  coverage_.erase(cell.packed());
+  return true;
+}
+
+std::uint32_t FetchSet::interest_count(const AssignedLines& lines) const {
+  std::uint32_t total = 0;
+  for (const auto r : lines.rows) total += line_count(net::LineRef::row(r));
+  for (const auto c : lines.cols) total += line_count(net::LineRef::col(c));
+  return total;
+}
+
+std::uint64_t FetchSet::under(std::uint32_t k,
+                              std::vector<std::uint32_t>& per_line) const {
+  per_line.resize(lines_.size());
+  for (std::size_t s = 0; s < lines_.size(); ++s) per_line[s] = lines_[s].count;
+  // Only cells with a planned query can be at or over k, and those are all
+  // in the coverage table.
+  std::uint64_t over = 0;
+  coverage_.for_each([&](std::uint32_t key, std::uint32_t c) {
+    if (c < k) return;
+    ++over;
+    count_covered(net::CellId::unpack(key), per_line);
+  });
+  return size_ - over;
+}
+
+std::uint32_t FetchSet::sum_over(const AssignedLines& lines,
+                                 const std::vector<std::uint32_t>& per_line) const {
+  std::uint32_t total = 0;
+  auto add = [&](net::LineRef line) {
+    if (const std::uint16_t s = slot(line); s != kNoSlot) total += per_line[s];
+  };
+  for (const auto r : lines.rows) add(net::LineRef::row(r));
+  for (const auto c : lines.cols) add(net::LineRef::col(c));
+  return total;
+}
+
+void FetchSet::count_covered(net::CellId cell,
+                             std::vector<std::uint32_t>& per_line) const {
+  --per_line[slot(net::LineRef::row(cell.row))];
+  --per_line[slot(net::LineRef::col(cell.col))];
+}
+
+void FetchSet::interest(const AssignedLines& lines,
+                        std::vector<net::CellId>& out) const {
+  // Walk rows in ascending order: the node's own rows in F, whose bitmaps
+  // already hold every missing cell of the row (crossings with its columns
+  // included), and every other row where one of its columns has a missing
+  // cell. The output comes out sorted and duplicate-free.
+  util::Bitmap512 own_rows;
+  for (const auto r : lines.rows) {
+    if (line(net::LineRef::row(r)) != nullptr) own_rows.set(r);
+  }
+  util::Bitmap512 rows = own_rows;
+  std::vector<std::pair<std::uint16_t, const util::Bitmap512*>> cols;
+  for (const auto c : lines.cols) {
+    const Line* st = line(net::LineRef::col(c));
+    if (st == nullptr || st->count == 0) continue;
+    cols.emplace_back(c, &st->missing);
+    rows |= st->missing;
+  }
+  const auto& row_words = rows.words();
+  for (std::uint32_t w = 0; w < row_words.size(); ++w) {
+    for (std::uint64_t rw = row_words[w]; rw != 0; rw &= rw - 1) {
+      const auto r = static_cast<std::uint16_t>(
+          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(rw)));
+      if (!own_rows.test(r)) {
+        for (const auto& [c, missing] : cols) {
+          if (missing->test(r)) out.push_back({r, c});
+        }
+        continue;
+      }
+      const auto& col_words = line(net::LineRef::row(r))->missing.words();
+      for (std::uint32_t v = 0; v < col_words.size(); ++v) {
+        for (std::uint64_t cw = col_words[v]; cw != 0; cw &= cw - 1) {
+          out.push_back({r, static_cast<std::uint16_t>(
+                                (v << 6) + static_cast<std::uint32_t>(
+                                               std::countr_zero(cw)))});
+        }
+      }
+    }
+  }
+}
+
+std::uint32_t FetchSet::cover(net::CellId cell) {
+  return ++coverage_.insert(cell.packed(), 0);
+}
+
+void FetchSet::uncover(net::CellId cell) noexcept {
+  std::uint32_t* c = coverage_.find(cell.packed());
+  if (c != nullptr && *c > 0) --*c;
+}
+
+// ----------------------------------------------------------- AdaptiveFetcher
+
+namespace {
+
+/// "Already considered" marks for gather_candidates, indexed by NodeIndex: a
+/// node is marked when its stamp equals the current epoch, so starting a
+/// gather costs O(1). A fetcher runs on one engine shard, hence one thread,
+/// at a time, so all fetchers on a thread share its array.
+struct SeenMarks {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+
+  void begin(std::size_t nodes) {
+    if (stamp.size() < nodes) stamp.resize(nodes, 0);
+    if (++epoch == 0) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      epoch = 1;
+    }
+  }
+  /// Marks `n`; false if it was already marked in this gather.
+  bool mark(net::NodeIndex n) {
+    if (n >= stamp.size()) stamp.resize(static_cast<std::size_t>(n) + 1, 0);
+    if (stamp[n] == epoch) return false;
+    stamp[n] = epoch;
+    return true;
+  }
+};
+
+thread_local SeenMarks t_seen;
+
+}  // namespace
 
 AdaptiveFetcher::AdaptiveFetcher(sim::Engine& engine, const ProtocolParams& params,
                                  const AssignmentTable& assignment,
@@ -17,55 +185,11 @@ AdaptiveFetcher::AdaptiveFetcher(sim::Engine& engine, const ProtocolParams& para
       view_(view),
       self_(self),
       rng_(rng),
-      reputation_(reputation) {}
-
-util::Bitmap512* AdaptiveFetcher::find_line(MissingMap& map, std::uint16_t index) {
-  const auto it = std::lower_bound(
-      map.begin(), map.end(), index,
-      [](const auto& e, std::uint16_t i) { return e.first < i; });
-  if (it == map.end() || it->first != index) return nullptr;
-  return &it->second;
-}
-
-const util::Bitmap512* AdaptiveFetcher::find_line(const MissingMap& map,
-                                                  std::uint16_t index) {
-  return find_line(const_cast<MissingMap&>(map), index);
-}
+      reputation_(reputation),
+      missing_(params.matrix_n) {}
 
 void AdaptiveFetcher::add_needed(std::span<const net::CellId> cells) {
-  for (const auto cell : cells) {
-    auto* row = find_line(missing_rows_, cell.row);
-    if (row == nullptr) {
-      const auto it = std::lower_bound(
-          missing_rows_.begin(), missing_rows_.end(), cell.row,
-          [](const auto& e, std::uint16_t i) { return e.first < i; });
-      row = &missing_rows_.insert(it, {cell.row, {}})->second;
-    }
-    if (row->test(cell.col)) continue;  // already in F
-    row->set(cell.col);
-    auto* col = find_line(missing_cols_, cell.col);
-    if (col == nullptr) {
-      const auto it = std::lower_bound(
-          missing_cols_.begin(), missing_cols_.end(), cell.col,
-          [](const auto& e, std::uint16_t i) { return e.first < i; });
-      col = &missing_cols_.insert(it, {cell.col, {}})->second;
-    }
-    col->set(cell.row);
-    ++outstanding_;
-  }
-}
-
-std::uint32_t AdaptiveFetcher::outstanding_in_line(net::LineRef line,
-                                                   std::uint32_t n) const {
-  const MissingMap& map =
-      line.kind == net::LineRef::Kind::kRow ? missing_rows_ : missing_cols_;
-  const auto* bm = find_line(map, line.index);
-  return bm == nullptr ? 0 : bm->count_prefix(n);
-}
-
-bool AdaptiveFetcher::is_outstanding(net::CellId cell) const {
-  const auto* bm = find_line(missing_rows_, cell.row);
-  return bm != nullptr && bm->test(cell.col);
+  for (const auto cell : cells) missing_.add(cell);
 }
 
 void AdaptiveFetcher::start(std::span<const net::CellId> needed,
@@ -76,24 +200,14 @@ void AdaptiveFetcher::start(std::span<const net::CellId> needed,
   send_ = std::move(send);
   boost_ = std::move(boost);
   add_needed(needed);
-  initial_outstanding_ = outstanding_;
-  if (outstanding_ == 0) return;
+  initial_outstanding_ = missing_.size();
+  if (missing_.size() == 0) return;
   rounds_active_ = true;
   run_round();
 }
 
-bool AdaptiveFetcher::clear_cell(net::CellId cell) {
-  auto* row = find_line(missing_rows_, cell.row);
-  if (row == nullptr || !row->test(cell.col)) return false;
-  row->reset(cell.col);
-  if (auto* col = find_line(missing_cols_, cell.col)) col->reset(cell.row);
-  coverage_.erase(cell.packed());
-  --outstanding_;
-  return true;
-}
-
 void AdaptiveFetcher::on_cells_obtained(std::span<const net::CellId> cells) {
-  for (const auto cell : cells) clear_cell(cell);
+  for (const auto cell : cells) missing_.remove(cell);
 }
 
 FetchRoundStats& AdaptiveFetcher::stats_for_round(std::uint32_t round) {
@@ -154,8 +268,7 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
   for (const auto cell : cells) {
     if (!is_outstanding(cell)) continue;
     // Release the coverage the forged reply was credited with.
-    const auto it = coverage_.find(cell.packed());
-    if (it != coverage_.end() && it->second > 0) --it->second;
+    missing_.uncover(cell);
     need.push_back(cell);
   }
   if (need.empty() || !rounds_active_ || round_ == 0) return;
@@ -163,17 +276,7 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
   // Immediate redraw: one replacement query per forged cell, planned over
   // the clean candidates only (the forger is already in query_round_ and the
   // reputation hit has demoted any accomplices).
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(1, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
-
+  auto candidates = ranked_candidates(1);
   auto& st = stats_for_round(round_);
   for (auto& cand : candidates) {
     if (need.empty()) break;
@@ -186,7 +289,7 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
       query_cells.push_back(cell);
     }
     if (query_cells.empty()) continue;
-    for (const auto cell : query_cells) ++coverage_[cell.packed()];
+    for (const auto cell : query_cells) missing_.cover(cell);
     note_query_sent(cand.node, query_cells);
     query_round_[cand.node] = round_;
     replied_.erase(cand.node);
@@ -260,17 +363,7 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   // recipients are gathered first and outscore plain custodians via
   // cb_boost, so "scored direct peers → consolidation-boost peers" falls
   // out of the existing ranking.
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(1, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
-
+  auto candidates = ranked_candidates(1);
   net::NodeIndex target = net::kInvalidNode;
   std::vector<net::CellId> hedge_cells;
   for (auto& cand : candidates) {
@@ -304,7 +397,7 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
 
   ++hedges;
   ++hedges_sent_;
-  for (const auto cell : hedge_cells) ++coverage_[cell.packed()];
+  for (const auto cell : hedge_cells) missing_.cover(cell);
   auto& st = stats_for_round(round_);
   st.messages_sent += 1;
   st.cells_requested += static_cast<std::uint32_t>(hedge_cells.size());
@@ -322,41 +415,44 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
 
 void AdaptiveFetcher::gather_candidates(std::uint32_t k,
                                         std::vector<net::NodeIndex>& out) {
-  std::unordered_set<net::NodeIndex> seen;
+  // Self and the peers already queried this cycle start out marked, so one
+  // mark test replaces both exclusions; every node is then judged once.
+  SeenMarks& seen = t_seen;
+  seen.begin(assignment_.node_count());
+  seen.mark(self_);
+  for (const auto& [peer, round] : query_round_) seen.mark(peer);
   const std::uint32_t cap =
       params_.candidates_per_line == 0
           ? ~0u
           : std::max(params_.candidates_per_line, 3 * k);
 
-  auto eligible = [&](net::NodeIndex n) {
-    return n != self_ && query_round_.count(n) == 0 &&
-           (view_ == nullptr || view_->contains(n)) &&
-           (reputation_ == nullptr || !reputation_->greylisted(n, engine_.now()));
-  };
   auto add = [&](net::NodeIndex n) {
-    if (eligible(n) && seen.insert(n).second) out.push_back(n);
+    if (!seen.mark(n)) return;
+    if (view_ != nullptr && !view_->contains(n)) return;
+    if (reputation_ != nullptr && reputation_->greylisted(n, engine_.now())) {
+      return;
+    }
+    out.push_back(n);
   };
 
   // Boosted candidates first: recipients of seeded cells we still miss.
   for (const auto& lb : boost_) {
     if (!lb) continue;
-    const MissingMap& map = lb->line.kind == net::LineRef::Kind::kRow
-                                ? missing_rows_
-                                : missing_cols_;
-    const auto* missing = find_line(map, lb->line.index);
-    if (missing == nullptr) continue;
+    const FetchSet::Line* line = missing_.line(lb->line);
+    if (line == nullptr) continue;
     std::uint32_t taken = 0;
     net::NodeIndex last = net::kInvalidNode;
     for (const auto& [node, pos] : lb->entries) {
       if (node == last) continue;
-      if (!missing->test(pos)) continue;
+      if (!line->missing.test(pos)) continue;
       last = node;
       add(node);
       if (++taken >= cap) break;
     }
   }
 
-  // Then, per line of interest, a random sample of assigned nodes.
+  // Then, per line that ever entered F (emptied ones too), a random sample
+  // of assigned nodes.
   auto sample_line = [&](net::LineRef line) {
     const auto& pool = assignment_.assigned_to(line);
     if (pool.empty()) return;
@@ -368,14 +464,8 @@ void AdaptiveFetcher::gather_candidates(std::uint32_t k,
         rng_.sample_distinct(static_cast<std::uint32_t>(pool.size()), cap);
     for (const auto i : picks) add(pool[i]);
   };
-  for (const auto& [row, bm] : missing_rows_) {
-    (void)bm;
-    sample_line(net::LineRef::row(row));
-  }
-  for (const auto& [col, bm] : missing_cols_) {
-    (void)bm;
-    sample_line(net::LineRef::col(col));
-  }
+  for (const auto row : missing_.rows()) sample_line(net::LineRef::row(row));
+  for (const auto col : missing_.cols()) sample_line(net::LineRef::col(col));
 }
 
 void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
@@ -385,23 +475,13 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
   // the (far fewer) candidates that actually get a query.
   out.reserve(nodes.size());
   for (const auto node : nodes) {
-    Candidate cand;
-    cand.node = node;
-    const AssignedLines& lines = assignment_.of(node);
-    std::uint32_t interest = 0;
-    for (const auto r : lines.rows) {
-      if (const auto* bm = find_line(missing_rows_, r)) {
-        interest += bm->count_prefix(params_.matrix_n);
-      }
-    }
-    for (const auto c : lines.cols) {
-      if (const auto* bm = find_line(missing_cols_, c)) {
-        interest += bm->count_prefix(params_.matrix_n);
-      }
-    }
-    if (interest == 0) continue;
     // (Cells sitting at the intersection of two of the candidate's own lines
     // are counted twice; the bias is negligible for ranking.)
+    const std::uint32_t interest =
+        missing_.interest_count(assignment_.of(node));
+    if (interest == 0) continue;
+    Candidate cand;
+    cand.node = node;
     cand.score = static_cast<double>(interest);
 
     // Consolidation-boost: +cb_boost per missing cell the builder declared
@@ -410,15 +490,12 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
     for (const auto& lb : boost_) {
       if (!lb) continue;
       if (!assignment_.node_has_line(node, lb->line)) continue;
-      const MissingMap& map = lb->line.kind == net::LineRef::Kind::kRow
-                                  ? missing_rows_
-                                  : missing_cols_;
-      const auto* missing = find_line(map, lb->line.index);
-      if (missing == nullptr) continue;
+      const FetchSet::Line* line = missing_.line(lb->line);
+      if (line == nullptr) continue;
       const auto [lo, hi] = lb->range_of(node);
       for (std::size_t i = lo; i < hi; ++i) {
         const std::uint16_t pos = lb->entries[i].second;
-        if (!missing->test(pos)) continue;
+        if (!line->missing.test(pos)) continue;
         cand.seeded.push_back(lb->line.kind == net::LineRef::Kind::kRow
                                   ? net::CellId{lb->line.index, pos}
                                   : net::CellId{pos, lb->line.index});
@@ -432,25 +509,23 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
   }
 }
 
-void AdaptiveFetcher::materialize_interest(Candidate& cand) const {
-  const AssignedLines& lines = assignment_.of(cand.node);
-  for (const auto r : lines.rows) {
-    if (const auto* bm = find_line(missing_rows_, r)) {
-      for (const auto col : bm->set_bits(params_.matrix_n)) {
-        cand.interest.push_back({r, static_cast<std::uint16_t>(col)});
-      }
-    }
-  }
-  for (const auto c : lines.cols) {
-    if (const auto* bm = find_line(missing_cols_, c)) {
-      for (const auto row : bm->set_bits(params_.matrix_n)) {
-        cand.interest.push_back({static_cast<std::uint16_t>(row), c});
-      }
-    }
-  }
-  std::sort(cand.interest.begin(), cand.interest.end());
-  cand.interest.erase(std::unique(cand.interest.begin(), cand.interest.end()),
-                      cand.interest.end());
+std::vector<AdaptiveFetcher::Candidate> AdaptiveFetcher::ranked_candidates(
+    std::uint32_t k) {
+  std::vector<net::NodeIndex> pool;
+  gather_candidates(k, pool);
+  std::vector<Candidate> candidates;
+  score_candidates(pool, candidates);
+  // Ties are broken by a per-fetcher random salt rather than node index:
+  // with index order every fetcher in the network would converge on the same
+  // lowest-index holders and overload their uplinks.
+  const std::uint64_t salt = rng_();
+  for (auto& cand : candidates) cand.tie = util::mix64(cand.node ^ salt);
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.tie < b.tie;
+            });
+  return candidates;
 }
 
 void AdaptiveFetcher::record_round_timeouts(std::uint32_t round) {
@@ -469,19 +544,19 @@ void AdaptiveFetcher::run_round() {
   // silent are charged a timeout (a late reply later redeems them).
   record_round_timeouts(round_);
   if (round_ > 0 && round_ <= stats_.size()) {
-    stats_[round_ - 1].remaining_after = outstanding_;
+    stats_[round_ - 1].remaining_after = missing_.size();
   }
   if (topup_ && round_ > 0) {
     const auto extra = topup_();
     if (!extra.empty()) add_needed(extra);
   }
-  if (outstanding_ == 0 || round_ >= params_.max_rounds) {
+  if (missing_.size() == 0 || round_ >= params_.max_rounds) {
     rounds_active_ = false;
     return;
   }
   ++round_;
   obs::emit(trace_, obs::EventType::kRoundStart, engine_.now(), obs::kNoPeer,
-            round_, static_cast<std::int64_t>(outstanding_));
+            round_, static_cast<std::int64_t>(missing_.size()));
   // Schedules are relative to the current fetch cycle: a re-invocation of
   // FETCH (after candidate exhaustion) restarts with cautious parameters.
   const std::uint32_t cycle_round = round_ - cycle_start_round_;
@@ -489,33 +564,17 @@ void AdaptiveFetcher::run_round() {
   const sim::Time timeout = params_.timeout_for_round(cycle_round);
   const sim::Time round_end = engine_.now() + timeout;
 
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(k, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  // Ties are broken by a per-fetcher random salt rather than node index:
-  // with index order every fetcher in the network would converge on the same
-  // lowest-index holders and overload their uplinks.
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
+  auto candidates = ranked_candidates(k);
 
   // Greedy planning (Algorithm 1, lines 11-17): walk candidates by
   // decreasing score; each planned query asks a candidate for its cells of
   // interest that are still under the cumulative redundancy target k
   // (c_j.cells ∩ U). A cell leaves U once k queries (across all rounds so
   // far) cover it.
-  std::uint64_t under = 0;
-  for (const auto& [row, bm] : missing_rows_) {
-    for (const auto col : bm.set_bits(params_.matrix_n)) {
-      const net::CellId cell{row, static_cast<std::uint16_t>(col)};
-      const auto it = coverage_.find(cell.packed());
-      if (it == coverage_.end() || it->second < k) ++under;
-    }
-  }
+  // Per line too: a candidate none of whose lines holds a cell under k has
+  // nothing to be asked, so its interest list is never built.
+  std::vector<std::uint32_t> line_under;
+  std::uint64_t under = missing_.under(k, line_under);
   auto& st = stats_for_round(round_);
 
   for (auto& cand : candidates) {
@@ -525,20 +584,21 @@ void AdaptiveFetcher::run_round() {
     // its full set of cells of interest otherwise.
     std::vector<net::CellId> query_cells;
     for (const auto cell : cand.seeded) {
-      const auto it = coverage_.find(cell.packed());
-      if (it == coverage_.end() || it->second < k) query_cells.push_back(cell);
+      if (missing_.coverage(cell) < k) query_cells.push_back(cell);
     }
     if (query_cells.empty()) {
+      if (missing_.sum_over(assignment_.of(cand.node), line_under) == 0) continue;
       if (cand.interest.empty()) materialize_interest(cand);
       for (const auto cell : cand.interest) {
-        const auto it = coverage_.find(cell.packed());
-        if (it == coverage_.end() || it->second < k) query_cells.push_back(cell);
+        if (missing_.coverage(cell) < k) query_cells.push_back(cell);
       }
     }
     if (query_cells.empty()) continue;
     for (const auto cell : query_cells) {
-      const auto c = ++coverage_[cell.packed()];
-      if (c == k) --under;
+      if (missing_.cover(cell) == k) {
+        --under;
+        missing_.count_covered(cell, line_under);
+      }
     }
     note_query_sent(cand.node, query_cells);
     query_round_[cand.node] = round_;
@@ -554,7 +614,7 @@ void AdaptiveFetcher::run_round() {
   // lagging nodes run multiple fetch cycles per slot). Cumulative coverage
   // restarts with the cycle.
   sim::Time next_round_in = timeout;
-  if (st.messages_sent == 0 && outstanding_ > 0 && !query_round_.empty()) {
+  if (st.messages_sent == 0 && missing_.size() > 0 && !query_round_.empty()) {
     if (++cycles_used_ > params_.max_cycles) {
       // Give up on active querying; buffered queries at peers may still
       // deliver the rest of F as their holders consolidate.
@@ -562,7 +622,7 @@ void AdaptiveFetcher::run_round() {
       return;
     }
     query_round_.clear();
-    coverage_.clear();
+    missing_.reset_coverage();
     hedges_for_.clear();  // a fresh cycle earns a fresh hedge budget
     cycle_start_round_ = round_;
     // Back off before the re-invocation: peers need time to consolidate

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/assignment.h"
+#include "core/cell_table.h"
 #include "core/params.h"
 #include "core/view.h"
 #include "net/messages.h"
@@ -53,6 +54,103 @@ namespace pandas::core {
 
 class PeerReputation;
 class PeerRtt;
+
+/// The fetch set F as the fetcher's planning reads it, kept incrementally so
+/// that no query scans F:
+///  - F per line, two ways (each row's missing columns, each column's
+///    missing rows), found through a flat line -> slot index, with each
+///    line's missing count kept alongside its bitmap;
+///  - the lines that ever entered F, ascending, rows then columns — a line
+///    whose cells all left F stays listed (candidate gathering samples it);
+///  - per-cell coverage (queries planned so far this cycle) of the cells of
+///    F that have any, so the cells below a redundancy target are tallied
+///    from the lines' counts and the covered cells alone.
+/// Every cell must lie inside the n x n matrix given at construction.
+class FetchSet {
+ public:
+  explicit FetchSet(std::uint32_t matrix_n);
+
+  /// Adds a cell to F at coverage 0; false if it was already in F.
+  bool add(net::CellId cell);
+  /// Removes a cell from F, dropping its coverage; false if it was not in F.
+  bool remove(net::CellId cell) noexcept;
+  [[nodiscard]] bool contains(net::CellId cell) const noexcept {
+    const Line* row = line(net::LineRef::row(cell.row));
+    return row != nullptr && row->missing.test(cell.col);
+  }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+
+  struct Line {
+    /// Positions of this line's cells currently in F.
+    util::Bitmap512 missing;
+    std::uint32_t count = 0;  ///< missing.count()
+  };
+  /// The line's state, or nullptr if no cell of it ever entered F.
+  [[nodiscard]] const Line* line(net::LineRef line) const noexcept {
+    const std::uint16_t s = slot(line);
+    return s == kNoSlot ? nullptr : &lines_[s];
+  }
+  /// Cells of `line` currently in F.
+  [[nodiscard]] std::uint32_t line_count(net::LineRef l) const noexcept {
+    const Line* st = line(l);
+    return st == nullptr ? 0 : st->count;
+  }
+  /// Indices of the rows / columns that ever entered F, ascending.
+  [[nodiscard]] const std::vector<std::uint16_t>& rows() const noexcept {
+    return rows_;
+  }
+  [[nodiscard]] const std::vector<std::uint16_t>& cols() const noexcept {
+    return cols_;
+  }
+
+  /// Cells of F on a node's assigned lines, summed line by line: a cell at
+  /// the intersection of one of its rows and one of its columns counts twice.
+  [[nodiscard]] std::uint32_t interest_count(const AssignedLines& lines) const;
+  /// Cells of F covered by fewer than `k` planned queries; `per_line`
+  /// receives the same count per line, indexed by slot. O(lines + covered
+  /// cells).
+  std::uint64_t under(std::uint32_t k, std::vector<std::uint32_t>& per_line) const;
+  /// `per_line` (from under) summed over a node's assigned lines.
+  [[nodiscard]] std::uint32_t sum_over(
+      const AssignedLines& lines, const std::vector<std::uint32_t>& per_line) const;
+  /// Takes a cell that just reached the target out of `per_line`.
+  void count_covered(net::CellId cell, std::vector<std::uint32_t>& per_line) const;
+  /// Appends the distinct cells of F on a node's assigned lines to `out`, in
+  /// ascending (row, col) order.
+  void interest(const AssignedLines& lines, std::vector<net::CellId>& out) const;
+
+  /// Queries planned so far this cycle that cover `cell`.
+  [[nodiscard]] std::uint32_t coverage(net::CellId cell) const noexcept {
+    const std::uint32_t* c = coverage_.find(cell.packed());
+    return c == nullptr ? 0 : *c;
+  }
+  /// Credits one more planned query to a cell of F; returns its coverage.
+  std::uint32_t cover(net::CellId cell);
+  /// Withdraws one planned query from a cell of F (no-op at coverage 0).
+  void uncover(net::CellId cell) noexcept;
+  /// Resets every cell of F to coverage 0 (a fresh fetch cycle).
+  void reset_coverage() noexcept { coverage_.clear(); }
+
+ private:
+  static constexpr std::uint16_t kNoSlot = 0xffff;
+  [[nodiscard]] std::size_t index_of(net::LineRef line) const noexcept {
+    return (line.kind == net::LineRef::Kind::kRow ? 0 : n_) + line.index;
+  }
+  /// The line's index into lines_, or kNoSlot.
+  [[nodiscard]] std::uint16_t slot(net::LineRef line) const noexcept {
+    return line.index < n_ ? slot_of_[index_of(line)] : kNoSlot;
+  }
+  Line& line_for_add(net::LineRef line);
+
+  std::uint32_t n_;
+  /// Line -> slot in lines_: rows 0..n-1, then columns 0..n-1.
+  std::vector<std::uint16_t> slot_of_;
+  std::vector<Line> lines_;
+  std::vector<std::uint16_t> rows_;
+  std::vector<std::uint16_t> cols_;
+  std::uint64_t size_ = 0;
+  CellTable coverage_;  ///< cells of F with a planned query (may read 0)
+};
 
 /// Per-round telemetry matching the rows of the paper's Table 1.
 struct FetchRoundStats {
@@ -129,10 +227,13 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   void set_last_resort(LastResortFn fn) { last_resort_ = std::move(fn); }
 
   /// Number of cells of `line` currently in F.
-  [[nodiscard]] std::uint32_t outstanding_in_line(net::LineRef line,
-                                                  std::uint32_t n) const;
+  [[nodiscard]] std::uint32_t outstanding_in_line(net::LineRef line) const {
+    return missing_.line_count(line);
+  }
   /// True if the cell is currently in F.
-  [[nodiscard]] bool is_outstanding(net::CellId cell) const;
+  [[nodiscard]] bool is_outstanding(net::CellId cell) const {
+    return missing_.contains(cell);
+  }
 
   /// Attribution hook for Table 1: a reply from `from` delivered `new_cells`
   /// fresh cells, `duplicates` already-held ones, and triggered
@@ -151,9 +252,11 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   void on_corrupt_reply(net::NodeIndex from,
                         std::span<const net::CellId> cells);
 
-  [[nodiscard]] bool complete() const noexcept { return outstanding_ == 0; }
+  [[nodiscard]] bool complete() const noexcept { return missing_.size() == 0; }
   [[nodiscard]] bool started() const noexcept { return started_; }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept { return outstanding_; }
+  [[nodiscard]] std::uint64_t outstanding() const noexcept {
+    return missing_.size();
+  }
   /// |F| when start() was called (denominator of Table 1's coverage row).
   [[nodiscard]] std::uint64_t initial_outstanding() const noexcept {
     return initial_outstanding_;
@@ -180,6 +283,9 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   struct Candidate {
     net::NodeIndex node = 0;
     double score = 0.0;
+    /// Tie-break key, mix64(node ^ salt): distinct per node, so the ranking
+    /// is a total order.
+    std::uint64_t tie = 0;
     std::vector<net::CellId> interest;
     /// Subset of `interest` the consolidation-boost map declares as seeded
     /// to this node — cells it can serve immediately. Planning prefers
@@ -188,20 +294,17 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
     std::vector<net::CellId> seeded;
   };
 
-  using MissingMap = std::vector<std::pair<std::uint16_t, util::Bitmap512>>;
-
   void run_round();
   void gather_candidates(std::uint32_t k, std::vector<net::NodeIndex>& out);
   void score_candidates(std::vector<net::NodeIndex>& nodes,
                         std::vector<Candidate>& out);
+  /// Gathers, scores and ranks (score descending, salted tie-break) the
+  /// candidates for redundancy `k`; draws the salt from rng_.
+  [[nodiscard]] std::vector<Candidate> ranked_candidates(std::uint32_t k);
   /// Fills cand.interest (assignment ∩ F) on demand at planning time.
-  void materialize_interest(Candidate& cand) const;
-  [[nodiscard]] static util::Bitmap512* find_line(MissingMap& map,
-                                                  std::uint16_t index);
-  [[nodiscard]] static const util::Bitmap512* find_line(const MissingMap& map,
-                                                        std::uint16_t index);
-  /// Clears one cell from both indexes; returns true if it was outstanding.
-  bool clear_cell(net::CellId cell);
+  void materialize_interest(Candidate& cand) const {
+    missing_.interest(assignment_.of(cand.node), cand.interest);
+  }
   FetchRoundStats& stats_for_round(std::uint32_t round);
 
   /// Charges round timeouts for peers queried in `round` that never replied.
@@ -229,10 +332,9 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   TopUpFn topup_;
   obs::TraceSink* trace_ = nullptr;
 
-  /// F, indexed two ways: by row (canonical) and by column (mirror).
-  MissingMap missing_rows_;
-  MissingMap missing_cols_;
-  std::uint64_t outstanding_ = 0;
+  /// F with its per-line counts and per-cell coverage. Redundancy targets
+  /// are cumulative: round i tops every cell up to k_i planned queries.
+  FetchSet missing_;
   std::uint64_t initial_outstanding_ = 0;
 
   bool started_ = false;
@@ -245,10 +347,6 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   /// Peers that replied to their outstanding query (re-querying in a later
   /// cycle removes them again), for round-timeout attribution.
   std::unordered_set<net::NodeIndex> replied_;
-  /// Cumulative per-cell query count (packed CellId -> queries planned so
-  /// far). Redundancy targets are cumulative: round i tops every cell up to
-  /// k_i total outstanding queries.
-  std::unordered_map<std::uint32_t, std::uint32_t> coverage_;
   std::vector<FetchRoundStats> stats_;
 
   /// ---- RTT / hedging state (inert when rtt_ == nullptr) ----

@@ -153,12 +153,9 @@ void PandasNode::start_fetch(net::BoostMap boost) {
     // parity cells only come into existence as other nodes reconstruct),
     // then parity positions.
     std::vector<std::uint16_t> preferred, original, parity;
+    const util::Bitmap512& held_pos = *custody_.held_in_line(line);
     for (std::uint32_t pos = 0; pos < params_.matrix_n; ++pos) {
-      const net::CellId cell =
-          line.kind == net::LineRef::Kind::kRow
-              ? net::CellId{line.index, static_cast<std::uint16_t>(pos)}
-              : net::CellId{static_cast<std::uint16_t>(pos), line.index};
-      if (custody_.has_cell(cell)) continue;
+      if (held_pos.test(pos)) continue;
       if (boosted_pos.test(pos)) {
         preferred.push_back(static_cast<std::uint16_t>(pos));
       } else if (pos < params_.matrix_k) {
@@ -203,7 +200,7 @@ void PandasNode::start_fetch(net::BoostMap boost) {
       const auto want = static_cast<std::uint32_t>(
           std::ceil(deficit * params_.fetch_over_request));
       const std::uint32_t have =
-          fetcher_->outstanding_in_line(line, params_.matrix_n);
+          fetcher_->outstanding_in_line(line);
 
       // Replenish when in-flight requests no longer cover the deficit, and
       // also widen F when the line made no progress for a while — the
@@ -228,13 +225,15 @@ void PandasNode::start_fetch(net::BoostMap boost) {
       // exist under every seeding policy); wrap into parity afterwards.
       const auto offset =
           static_cast<std::uint32_t>(sample_rng_.uniform(params_.matrix_k));
+      const util::Bitmap512& held_pos = *custody_.held_in_line(line);
       for (std::uint32_t i = 0; i < params_.matrix_n && missing_budget > 0; ++i) {
         const auto pos =
             static_cast<std::uint16_t>((offset + i) % params_.matrix_n);
+        if (held_pos.test(pos)) continue;
         const net::CellId cell = line.kind == net::LineRef::Kind::kRow
                                      ? net::CellId{line.index, pos}
                                      : net::CellId{pos, line.index};
-        if (custody_.has_cell(cell) || fetcher_->is_outstanding(cell)) continue;
+        if (fetcher_->is_outstanding(cell)) continue;
         extra.push_back(cell);
         --missing_budget;
       }

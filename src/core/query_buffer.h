@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cell_table.h"
 #include "net/messages.h"
 
 /// Buffered cell queries of one node-slot (paper §7): PANDAS never sends a
@@ -16,10 +17,9 @@
 /// Layout (memory is the binding constraint at scale): one slab of
 /// {cell, next-waiter} links, in which each query owns a contiguous run and
 /// keeps a `remaining` counter; links waiting on the same cell are chained
-/// from an open-addressed head table (linear probing, backward-shift delete,
-/// grown at 7/8 load), so the table tracks the number of distinct waited
-/// cells. That is 8 B per buffered cell, 16 B per query and 8 B per head
-/// slot. Served runs stay in the slab until it drains: the next add() after
+/// from a cell -> most-recent-waiter head table (core::CellTable), which
+/// tracks the number of distinct waited cells. That is 8 B per buffered
+/// cell, 16 B per query and 8 B per head slot. Served runs stay in the slab until it drains: the next add() after
 /// the last waiting query was served recycles slab and query records.
 namespace pandas::core {
 
@@ -60,8 +60,6 @@ class QueryBuffer {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffU;
-  /// Packed CellId of an empty head slot: row/col 0xffff is no matrix cell.
-  static constexpr std::uint32_t kEmptyKey = 0xffffffffU;
 
   struct Link {
     net::CellId cell;
@@ -73,24 +71,12 @@ class QueryBuffer {
     std::uint32_t count = 0;  ///< run length
     std::uint32_t remaining = 0;
   };
-  struct Head {
-    std::uint32_t key = kEmptyKey;  ///< packed CellId
-    std::uint32_t link = kNil;      ///< most recent waiter
-  };
-
-  [[nodiscard]] std::size_t home(std::uint32_t key) const noexcept;
-  /// Index of the head slot holding `key`, or of the empty slot ending its
-  /// probe sequence.
-  [[nodiscard]] std::size_t probe(std::uint32_t key) const noexcept;
-  void erase_head(std::size_t slot) noexcept;
-  void grow();
   /// Query owning slab link `link`.
   [[nodiscard]] std::uint32_t owner(std::uint32_t link) const noexcept;
 
   std::vector<Link> slab_;
   std::vector<Query> queries_;  ///< indexed by id; ascending `first`
-  std::vector<Head> heads_;     ///< power-of-two size, or empty
-  std::size_t head_count_ = 0;
+  CellTable heads_;  ///< packed cell -> most recent waiting link
   std::size_t live_ = 0;
   std::vector<QueryId> completed_;
 };

@@ -21,12 +21,7 @@ std::uint64_t Engine::next_key(std::uint32_t lane) {
 }
 
 void Engine::schedule_as(std::uint32_t lane, Time t, Callback fn) {
-  std::uint64_t key = next_key(lane);
-  // Scheduling at the instant currently executing sorts after every event of
-  // that instant already queued, regardless of lane — the global-FIFO
-  // behavior of the original monotone sequence counter.
-  if (t == now_) key |= kLateKey;
-  schedule_keyed(t, key, std::move(fn));
+  schedule_keyed(t, next_key(lane), std::move(fn));
 }
 
 void Engine::schedule_keyed(Time t, std::uint64_t key, Callback fn) {

@@ -38,16 +38,16 @@ class Engine {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Ordering lanes. Every event carries a 64-bit ordering key
-  /// `(lane << kLaneShift) | counter` (plus a high "late" bit for events
-  /// scheduled at the instant currently executing, which run after every
-  /// already-queued event of that instant — exactly the old global-FIFO
-  /// behavior). Counters are per-lane, so a lane's key sequence depends only
+  /// `(lane << kLaneShift) | counter`. The engine takes all events of an
+  /// instant as one batch before running any, so an event scheduled at the
+  /// instant currently executing runs after every event already queued at
+  /// it, whatever its lane — exactly the old global-FIFO behavior. Counters
+  /// are per-lane, so a lane's key sequence depends only
   /// on that lane's own scheduling history: the property ParallelEngine
   /// relies on for layout-invariant execution order. Lane 0 is the driver
   /// lane (harness/tests); actors use `lane_of_actor(index)`.
   static constexpr std::uint32_t kDriverLane = 0;
   static constexpr int kLaneShift = 40;
-  static constexpr std::uint64_t kLateKey = 1ULL << 63;
   [[nodiscard]] static constexpr std::uint32_t lane_of_actor(
       std::uint32_t actor) noexcept {
     return actor + 1;

@@ -91,7 +91,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   inside_parallel_for = true;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    // A worker that woke too late for the previous job may still be inside
+    // it, finding no index left. Resetting the counters under it would let
+    // it run that old job on this job's indices, so it leaves first.
+    done_cv_.wait(lock, [&] { return active_ == 0; });
     job_ = fn;
     next_.store(begin, std::memory_order_relaxed);
     end_.store(end, std::memory_order_release);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "core/fetcher.h"
 #include "core/reputation.h"
@@ -456,6 +458,378 @@ TEST(Fetcher, UnsolicitedReplyIgnored) {
   const auto& stats = f->round_stats();
   ASSERT_GE(stats.size(), 1u);
   EXPECT_EQ(stats[0].replies_in_round + stats[0].replies_after_round, 0u);
+}
+
+// ------------------------------------------------------------- FetchSet
+
+/// The fetcher's fetch-set bookkeeping as it was before FetchSet: F as sorted
+/// (line, bitmap) vectors found by binary search, coverage in a hash map,
+/// `under` by scanning every cell of F, and interest lists built from
+/// set_bits plus sort and unique. Kept only as the oracle for FetchSet.
+class OldFetchState {
+ public:
+  explicit OldFetchState(std::uint32_t n) : n_(n) {}
+
+  void add(net::CellId cell) {
+    auto& row = line_for_add(rows_, cell.row);
+    if (row.test(cell.col)) return;
+    row.set(cell.col);
+    line_for_add(cols_, cell.col).set(cell.row);
+    ++outstanding_;
+  }
+  void remove(net::CellId cell) {
+    auto* row = find_line(rows_, cell.row);
+    if (row == nullptr || !row->test(cell.col)) return;
+    row->reset(cell.col);
+    if (auto* col = find_line(cols_, cell.col)) col->reset(cell.row);
+    coverage_.erase(cell.packed());
+    --outstanding_;
+  }
+  [[nodiscard]] bool contains(net::CellId cell) {
+    const auto* row = find_line(rows_, cell.row);
+    return row != nullptr && row->test(cell.col);
+  }
+  void cover(net::CellId cell) { ++coverage_[cell.packed()]; }
+  void uncover(net::CellId cell) {
+    const auto it = coverage_.find(cell.packed());
+    if (it != coverage_.end() && it->second > 0) --it->second;
+  }
+  void reset_coverage() { coverage_.clear(); }
+
+  [[nodiscard]] std::uint32_t line_count(net::LineRef line) {
+    const auto* bm = find_line(line.kind == net::LineRef::Kind::kRow ? rows_ : cols_,
+                               line.index);
+    return bm == nullptr ? 0 : bm->count_prefix(n_);
+  }
+  [[nodiscard]] bool has_line(net::LineRef line) {
+    return find_line(line.kind == net::LineRef::Kind::kRow ? rows_ : cols_,
+                     line.index) != nullptr;
+  }
+  [[nodiscard]] std::vector<std::uint16_t> line_order(net::LineRef::Kind kind) const {
+    std::vector<std::uint16_t> out;
+    for (const auto& [index, bm] : kind == net::LineRef::Kind::kRow ? rows_ : cols_) {
+      out.push_back(index);
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint32_t coverage(net::CellId cell) const {
+    const auto it = coverage_.find(cell.packed());
+    return it == coverage_.end() ? 0 : it->second;
+  }
+  [[nodiscard]] std::uint64_t under(std::uint32_t k) const {
+    std::uint64_t under = 0;
+    for (const auto& [row, bm] : rows_) {
+      for (const auto col : bm.set_bits(n_)) {
+        const net::CellId cell{row, static_cast<std::uint16_t>(col)};
+        const auto it = coverage_.find(cell.packed());
+        if (it == coverage_.end() || it->second < k) ++under;
+      }
+    }
+    return under;
+  }
+  /// Cells under k on a node's lines, counted line by line.
+  [[nodiscard]] std::uint32_t under_in_lines(const AssignedLines& lines,
+                                             std::uint32_t k) {
+    std::uint32_t total = 0;
+    auto tally = [&](const util::Bitmap512* bm, auto cell_at) {
+      if (bm == nullptr) return;
+      for (const auto pos : bm->set_bits(n_)) {
+        if (coverage(cell_at(static_cast<std::uint16_t>(pos))) < k) ++total;
+      }
+    };
+    for (const auto r : lines.rows) {
+      tally(find_line(rows_, r), [r](std::uint16_t c) { return net::CellId{r, c}; });
+    }
+    for (const auto c : lines.cols) {
+      tally(find_line(cols_, c), [c](std::uint16_t r) { return net::CellId{r, c}; });
+    }
+    return total;
+  }
+  [[nodiscard]] std::uint32_t interest_count(const AssignedLines& lines) {
+    std::uint32_t interest = 0;
+    for (const auto r : lines.rows) interest += line_count(net::LineRef::row(r));
+    for (const auto c : lines.cols) interest += line_count(net::LineRef::col(c));
+    return interest;
+  }
+  [[nodiscard]] std::vector<net::CellId> interest(const AssignedLines& lines) {
+    std::vector<net::CellId> out;
+    for (const auto r : lines.rows) {
+      if (const auto* bm = find_line(rows_, r)) {
+        for (const auto col : bm->set_bits(n_)) {
+          out.push_back({r, static_cast<std::uint16_t>(col)});
+        }
+      }
+    }
+    for (const auto c : lines.cols) {
+      if (const auto* bm = find_line(cols_, c)) {
+        for (const auto row : bm->set_bits(n_)) {
+          out.push_back({static_cast<std::uint16_t>(row), c});
+        }
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+  [[nodiscard]] const std::unordered_map<std::uint32_t, std::uint32_t>&
+  coverage_map() const {
+    return coverage_;
+  }
+  [[nodiscard]] std::uint64_t outstanding() const { return outstanding_; }
+
+ private:
+  using MissingMap = std::vector<std::pair<std::uint16_t, util::Bitmap512>>;
+
+  static util::Bitmap512* find_line(MissingMap& map, std::uint16_t index) {
+    const auto it = std::lower_bound(
+        map.begin(), map.end(), index,
+        [](const auto& e, std::uint16_t i) { return e.first < i; });
+    if (it == map.end() || it->first != index) return nullptr;
+    return &it->second;
+  }
+  static util::Bitmap512& line_for_add(MissingMap& map, std::uint16_t index) {
+    if (auto* bm = find_line(map, index)) return *bm;
+    const auto it = std::lower_bound(
+        map.begin(), map.end(), index,
+        [](const auto& e, std::uint16_t i) { return e.first < i; });
+    return map.insert(it, {index, {}})->second;
+  }
+
+  std::uint32_t n_;
+  MissingMap rows_;
+  MissingMap cols_;
+  std::unordered_map<std::uint32_t, std::uint32_t> coverage_;
+  std::uint64_t outstanding_ = 0;
+};
+
+/// Checks every query FetchSet answers against a brute-force recomputation
+/// from the oracle.
+void expect_same_state(const FetchSet& fs, OldFetchState& old, std::uint32_t n,
+                       const std::vector<AssignedLines>& nodes,
+                       util::Xoshiro256& rng) {
+  ASSERT_EQ(fs.size(), old.outstanding());
+  for (std::uint16_t i = 0; i < n; ++i) {
+    for (const auto line : {net::LineRef::row(i), net::LineRef::col(i)}) {
+      ASSERT_EQ(fs.line_count(line), old.line_count(line));
+      ASSERT_EQ(fs.line(line) != nullptr, old.has_line(line));
+    }
+  }
+  ASSERT_EQ(fs.rows(), old.line_order(net::LineRef::Kind::kRow));
+  ASSERT_EQ(fs.cols(), old.line_order(net::LineRef::Kind::kCol));
+  // Redundancy targets start at 1 (ProtocolParams::redundancy_for_round).
+  std::vector<std::uint32_t> per_line;
+  for (std::uint32_t k = 1; k <= 12; ++k) {
+    ASSERT_EQ(fs.under(k, per_line), old.under(k)) << k;
+  }
+  for (const auto& [packed, count] : old.coverage_map()) {
+    ASSERT_EQ(fs.coverage(net::CellId::unpack(packed)), count);
+  }
+  for (int i = 0; i < 64; ++i) {
+    const net::CellId cell{static_cast<std::uint16_t>(rng.uniform(n)),
+                           static_cast<std::uint16_t>(rng.uniform(n))};
+    ASSERT_EQ(fs.coverage(cell), old.coverage(cell));
+    ASSERT_EQ(fs.contains(cell), old.contains(cell));
+  }
+  for (const auto& lines : nodes) {
+    ASSERT_EQ(fs.interest_count(lines), old.interest_count(lines));
+    for (const std::uint32_t k : {1u, 2u, 6u}) {
+      (void)fs.under(k, per_line);
+      ASSERT_EQ(fs.sum_over(lines, per_line), old.under_in_lines(lines, k));
+    }
+    std::vector<net::CellId> got;
+    fs.interest(lines, got);
+    ASSERT_EQ(got, old.interest(lines));
+  }
+}
+
+TEST(FetchSet, MatchesOldStructuresOnRandomOps) {
+  // n = 130 spans three bitmap words with a ragged last one. Cells cluster
+  // on a few hot lines so rows and columns of F cross often.
+  constexpr std::uint32_t kN = 130;
+  util::Xoshiro256 rng(2024);
+  auto line_index = [&] {
+    return static_cast<std::uint16_t>(rng.uniform(4) == 0 ? rng.uniform(kN)
+                                                          : rng.uniform(12) * 11);
+  };
+  auto random_cell = [&] { return net::CellId{line_index(), line_index()}; };
+  std::vector<AssignedLines> nodes(24);
+  for (auto& lines : nodes) {
+    for (std::uint32_t i = 0, m = 1 + rng.uniform(4); i < m; ++i) {
+      lines.rows.push_back(line_index());
+      lines.cols.push_back(line_index());
+    }
+    for (auto* v : {&lines.rows, &lines.cols}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+  }
+
+  for (int trial = 0; trial < 8; ++trial) {
+    FetchSet fs(kN);
+    OldFetchState old(kN);
+    std::vector<net::CellId> in_f;  // F, for picking cells the ops touch
+    auto refresh = [&] {
+      std::erase_if(in_f, [&](net::CellId c) { return !old.contains(c); });
+    };
+    for (int step = 0; step < 300; ++step) {
+      switch (rng.uniform(6)) {
+        case 0: {  // add_needed (initial fetch set and top-ups)
+          for (std::uint32_t i = 0, m = 1 + rng.uniform(40); i < m; ++i) {
+            const auto cell = random_cell();
+            const bool was_in = old.contains(cell);
+            old.add(cell);
+            ASSERT_EQ(fs.add(cell), !was_in);
+            if (!was_in) in_f.push_back(cell);
+          }
+          break;
+        }
+        case 1: {  // on_cells_obtained: cells of F and strays alike
+          for (std::uint32_t i = 0, m = 1 + rng.uniform(20); i < m; ++i) {
+            const auto cell = !in_f.empty() && rng.uniform(3) != 0
+                                  ? in_f[rng.uniform(in_f.size())]
+                                  : random_cell();
+            const bool was_in = old.contains(cell);
+            old.remove(cell);
+            ASSERT_EQ(fs.remove(cell), was_in);
+          }
+          refresh();
+          break;
+        }
+        case 2: {  // planned queries of a round at redundancy k
+          const auto k = static_cast<std::uint32_t>(1 + rng.uniform(6));
+          std::vector<std::uint32_t> line_under;
+          (void)fs.under(k, line_under);
+          for (std::uint32_t i = 0, m = rng.uniform(30); i < m && !in_f.empty(); ++i) {
+            const auto cell = in_f[rng.uniform(in_f.size())];
+            old.cover(cell);
+            const std::uint32_t c = fs.cover(cell);
+            ASSERT_EQ(c, old.coverage(cell));
+            if (c == k) fs.count_covered(cell, line_under);
+          }
+          for (const auto& lines : nodes) {
+            ASSERT_EQ(fs.sum_over(lines, line_under), old.under_in_lines(lines, k));
+          }
+          break;
+        }
+        case 3: {  // hedges and redraws: more queries on cells of F
+          for (std::uint32_t i = 0, m = rng.uniform(30); i < m && !in_f.empty(); ++i) {
+            const auto cell = in_f[rng.uniform(in_f.size())];
+            old.cover(cell);
+            ASSERT_EQ(fs.cover(cell), old.coverage(cell));
+          }
+          break;
+        }
+        case 4: {  // corrupt reply: release the forged cells' coverage
+          for (std::uint32_t i = 0, m = rng.uniform(10); i < m && !in_f.empty(); ++i) {
+            const auto cell = in_f[rng.uniform(in_f.size())];
+            old.uncover(cell);
+            fs.uncover(cell);
+          }
+          break;
+        }
+        case 5:  // fresh fetch cycle (rarely)
+          if (rng.uniform(4) == 0) {
+            old.reset_coverage();
+            fs.reset_coverage();
+          }
+          break;
+      }
+      expect_same_state(fs, old, kN, nodes, rng);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FetchSet, RejectsCellsOutsideTheMatrix) {
+  FetchSet fs(8);
+  EXPECT_THROW(fs.add({8, 0}), std::out_of_range);
+  EXPECT_THROW(fs.add({0, 8}), std::out_of_range);
+  EXPECT_EQ(fs.size(), 0u);
+}
+
+// ------------------------------------------------------------ CellTable
+
+std::uint32_t value_of(const CellTable& t, std::uint32_t key) {
+  const std::uint32_t* v = t.find(key);
+  return v == nullptr ? 0 : *v;
+}
+
+TEST(CellTable, EraseShiftsBackAcrossTheWrapPoint) {
+  CellTable t;
+  constexpr std::uint32_t kSizer = 0xfffe0000u;
+  t.insert(kSizer, 0);  // sizes the table (16 slots); erased below
+  const std::size_t cap = t.capacity();
+  ASSERT_EQ(cap, 16u);
+  // Three keys homed on the last slot wrap around to slots 0 and 1; a key
+  // homed on slot 0 is pushed to slot 2 behind them.
+  std::vector<std::uint32_t> last;
+  std::uint32_t first = CellTable::kEmptyKey;
+  for (std::uint32_t key = 0; last.size() < 3 || first == CellTable::kEmptyKey;
+       ++key) {
+    const std::size_t home = t.home_slot(key);
+    if (home == cap - 1 && last.size() < 3) last.push_back(key);
+    if (home == 0 && first == CellTable::kEmptyKey) first = key;
+  }
+  ASSERT_TRUE(t.erase(kSizer));
+  for (std::uint32_t i = 0; i < 3; ++i) t.insert(last[i], 10 + i);
+  t.insert(first, 7);
+  ASSERT_EQ(t.size(), 4u);
+
+  // Erasing the head of the wrapped run pulls every follower back one slot,
+  // including the slot-0 key that had been displaced past the wrap.
+  EXPECT_TRUE(t.erase(last[0]));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.find(last[0]), nullptr);
+  EXPECT_EQ(value_of(t, last[1]), 11u);
+  EXPECT_EQ(value_of(t, last[2]), 12u);
+  EXPECT_EQ(value_of(t, first), 7u);
+  // Erasing the middle of the run, then its tail, keeps the rest reachable.
+  EXPECT_TRUE(t.erase(last[2]));
+  EXPECT_EQ(value_of(t, last[1]), 11u);
+  EXPECT_EQ(value_of(t, first), 7u);
+  EXPECT_TRUE(t.erase(last[1]));
+  EXPECT_EQ(value_of(t, first), 7u);
+  EXPECT_FALSE(t.erase(last[1]));  // absent keys are left alone
+  EXPECT_EQ(t.insert(first, 99), 7u);  // insert keeps a present value
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(CellTable, GrowsAndClearsAgainstAReferenceMap) {
+  CellTable t;
+  std::unordered_map<std::uint32_t, std::uint32_t> ref;
+  util::Xoshiro256 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const auto key =
+        net::CellId{static_cast<std::uint16_t>(rng.uniform(40)),
+                    static_cast<std::uint16_t>(rng.uniform(512))}
+            .packed();
+    switch (rng.uniform(3)) {
+      case 0:
+      case 1:
+        ++t.insert(key, 0);
+        ++ref[key];
+        break;
+      case 2:
+        ASSERT_EQ(t.erase(key), ref.erase(key) == 1);
+        break;
+    }
+    ASSERT_EQ(t.size(), ref.size());
+    ASSERT_LE(8 * t.size(), 7 * t.capacity());
+  }
+  ASSERT_GT(t.capacity(), 1024u);  // grew well past its first 16 slots
+  ASSERT_EQ(t.capacity() & (t.capacity() - 1), 0u);
+  for (const auto& [key, count] : ref) ASSERT_EQ(value_of(t, key), count);
+  for (std::uint32_t key = 0; key < 5000; ++key) {
+    ASSERT_EQ(value_of(t, key), ref.count(key) != 0 ? ref[key] : 0u);
+  }
+
+  const std::size_t cap = t.capacity();
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.capacity(), cap);  // clear keeps the storage
+  for (const auto& [key, count] : ref) ASSERT_EQ(t.find(key), nullptr);
+  EXPECT_EQ(t.insert(ref.begin()->first, 3), 3u);
+  EXPECT_EQ(t.size(), 1u);
 }
 
 }  // namespace

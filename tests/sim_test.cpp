@@ -220,17 +220,18 @@ TEST(EngineScheduler, ProfileCountsEventsAndDepth) {
 }
 
 // Reference scheduler for the ordering contract (docs/SIMULATION.md): a
-// binary heap on (time, key) with the engine's key rule — per-lane counters,
-// plus the late bit for events scheduled at the instant being executed.
+// binary heap on (time, key) with the engine's per-lane key rule, drained one
+// instant at a time — the whole batch of the earliest instant leaves the heap
+// before any of it runs, so an event scheduled at the executing instant runs
+// after that batch.
 class ReferenceQueue {
  public:
   [[nodiscard]] Time now() const { return now_; }
 
   void schedule_as(std::uint32_t lane, Time t, std::function<void()> fn) {
     if (lane >= seq_.size()) seq_.resize(lane + 1, 0);
-    std::uint64_t key =
+    const std::uint64_t key =
         (static_cast<std::uint64_t>(lane) << Engine::kLaneShift) | seq_[lane]++;
-    if (t == now_) key |= Engine::kLateKey;
     heap_.push_back(Event{t, key, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
@@ -239,12 +240,16 @@ class ReferenceQueue {
   }
 
   void run() {
+    std::vector<Event> batch;
     while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event ev = std::move(heap_.back());
-      heap_.pop_back();
-      now_ = ev.time;
-      ev.fn();
+      now_ = heap_.front().time;
+      batch.clear();
+      while (!heap_.empty() && heap_.front().time == now_) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        batch.push_back(std::move(heap_.back()));
+        heap_.pop_back();
+      }
+      for (auto& ev : batch) ev.fn();
     }
   }
 
