@@ -3,34 +3,26 @@
 // seeding strategies, at 1,000 nodes. Also prints the gossip block-delivery
 // distribution plotted in Fig 9a.
 //
-//   ./build/bench/bench_fig09_phases [--nodes 1000] [--slots 10] [--quick]
-//                                    [--no-boost] [--cdf] [--json]
-//                                    [--trace-out t.json] [--metrics-out m.json]
-//                                    [--records-out r.jsonl] [--trace-flows]
-//                                    [--attribution-out a.jsonl]
-//                                    [--trace-sample-rate R] [--trace-ring N]
-//
 // Export files are suffixed with the policy label (t.minimal.json,
 // t.single.json, t.redundant-r-8.json, ...), one set per configuration.
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const bool cdf = args.has("--cdf");
-  const auto obs = harness::ObsCli::parse(args);
-
-  const auto nodes =
-      static_cast<std::uint32_t>(args.get_int("--nodes", quick ? 300 : 700));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", 1));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 700, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  bool no_boost = false;
+  bool cdf = false;
+  flags.flag("--no-boost", no_boost, "seed without the consolidation boost");
+  flags.flag("--cdf", cdf, "print the seeding and sampling CDFs");
+  flags.parse(argc, argv);
 
   const core::SeedingPolicy policies[] = {
       core::SeedingPolicy::minimal(),
@@ -39,24 +31,18 @@ int main(int argc, char** argv) {
   };
 
   for (const auto& policy : policies) {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-    cfg.slots = slots;
+    auto cfg = run.config(obs);
     cfg.policy = policy;
-    if (args.has("--no-boost")) cfg.policy.boost_enabled = false;
-    obs.apply(cfg);
+    if (no_boost) cfg.policy.boost_enabled = false;
 
     harness::PandasExperiment experiment(cfg);
     const auto res = experiment.run();
     const auto snap = harness::snapshot_of("fig09/" + policy.name(), cfg, res);
 
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+    if (!obs.emit_json(snap)) {
       harness::print_header("Fig 9 — policy " + policy.name() + " (" +
-                            std::to_string(nodes) + " nodes, " +
-                            std::to_string(slots) + " slots)");
+                            std::to_string(run.nodes) + " nodes, " +
+                            std::to_string(run.slots) + " slots)");
       harness::print_summary("(a) time to seeding",
                              snap.series_named("seed_ms").summary, "ms");
       harness::print_summary("(a) block via gossip",

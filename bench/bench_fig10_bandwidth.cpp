@@ -10,20 +10,17 @@
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const auto nodes =
-      static_cast<std::uint32_t>(args.get_int("--nodes", quick ? 300 : 500));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", quick ? 1 : 1));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  flags.parse(argc, argv);
 
   const core::SeedingPolicy policies[] = {
       core::SeedingPolicy::minimal(),
@@ -33,25 +30,19 @@ int main(int argc, char** argv) {
 
   if (!obs.json) {
     harness::print_header("Fig 10 — fetch messages & traffic per node (" +
-                          std::to_string(nodes) + " nodes, " +
-                          std::to_string(slots) + " slots)");
+                          std::to_string(run.nodes) + " nodes, " +
+                          std::to_string(run.slots) + " slots)");
   }
   for (const auto& policy : policies) {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-    cfg.slots = slots;
+    auto cfg = run.config(obs);
     cfg.policy = policy;
     cfg.block_gossip = false;
-    obs.apply(cfg);
 
     harness::PandasExperiment experiment(cfg);
     const auto res = experiment.run();
     const auto snap = harness::snapshot_of("fig10/" + policy.name(), cfg, res);
 
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+    if (!obs.emit_json(snap)) {
       std::printf("\n  policy %s:\n", policy.name().c_str());
       harness::print_summary("fetch messages (in+out)",
                              snap.series_named("fetch_messages").summary, "");

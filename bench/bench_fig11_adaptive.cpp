@@ -9,48 +9,37 @@
 //   bench_fig11_adaptive --hedged --partition 0.05 --loss-burst 0.1 --churn 0.1
 // compares fixed vs adaptive vs hedged under identical link chaos. Without
 // those flags the two paper modes are untouched.
-//
-//   ./build/bench/bench_fig11_adaptive [--nodes 1000] [--slots 10] [--quick]
-//                                      [--hedged] [--json] [--trace-out F]
-//                                      [--metrics-out F] [--records-out F]
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/fault_cli.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const auto fault_cli = harness::FaultCli::parse(args);
-  const auto nodes =
-      static_cast<std::uint32_t>(args.get_int("--nodes", quick ? 300 : 500));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", quick ? 1 : 1));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  harness::FaultCli fault_cli(flags);
+  flags.parse(argc, argv);
 
   if (!obs.json) {
     harness::print_header("Fig 11 — adaptive vs constant fetching (" +
-                          std::to_string(nodes) + " nodes)");
+                          std::to_string(run.nodes) + " nodes)");
   }
   enum class Mode { kAdaptive, kConstant, kHedged };
   std::vector<Mode> modes = {Mode::kAdaptive, Mode::kConstant};
   if (fault_cli.hedging) modes.push_back(Mode::kHedged);
   for (const Mode mode : modes) {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-    cfg.slots = slots;
+    auto cfg = run.config(obs);
     cfg.policy = core::SeedingPolicy::redundant(8);
     cfg.block_gossip = false;
     fault_cli.apply(cfg);
     cfg.params.adaptive = mode != Mode::kConstant;
     cfg.params.hedging = mode == Mode::kHedged;
-    obs.apply(cfg);
 
     const char* label = mode == Mode::kAdaptive   ? "adaptive"
                         : mode == Mode::kConstant ? "constant"
@@ -60,9 +49,7 @@ int main(int argc, char** argv) {
     const auto snap =
         harness::snapshot_of(std::string("fig11/") + label, cfg, res);
 
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+    if (!obs.emit_json(snap)) {
       std::printf("\n  %s strategy:\n",
                   mode == Mode::kAdaptive   ? "adaptive"
                   : mode == Mode::kConstant ? "constant (t=400ms, k=1)"

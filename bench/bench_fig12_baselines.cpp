@@ -3,19 +3,15 @@
 // GossipSub-based DAS and Kademlia-DHT-based DAS — at 1,000 nodes, with
 // equal builder egress budgets.
 //
-//   ./build/bench/bench_fig12_baselines [--nodes 1000] [--slots 10] [--quick]
-//                                       [--json] [--trace-out F]
-//                                       [--metrics-out F] [--records-out F]
-//
 // The trace/metrics/records exporters cover the PANDAS experiment; the
 // baseline harnesses report through the snapshot/--json path only.
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/baseline_experiments.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 namespace {
 
@@ -35,34 +31,25 @@ void print_baseline(const pandas::harness::ResultsSnapshot& snap,
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const auto nodes =
-      static_cast<std::uint32_t>(args.get_int("--nodes", quick ? 300 : 500));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", quick ? 1 : 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  flags.parse(argc, argv);
+  const auto base = run.config(obs);
 
   if (!obs.json) {
     harness::print_header("Fig 12 — PANDAS vs GossipSub-DAS vs DHT-DAS (" +
-                          std::to_string(nodes) + " nodes)");
+                          std::to_string(run.nodes) + " nodes)");
   }
 
   {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = slots;
+    auto cfg = base;
     cfg.policy = core::SeedingPolicy::redundant(8);
     cfg.block_gossip = false;
-    obs.apply(cfg);
     harness::PandasExperiment experiment(cfg);
     const auto res = experiment.run();
     const auto snap = harness::snapshot_of("fig12/pandas", cfg, res);
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+    if (!obs.emit_json(snap)) {
       std::printf("\n  PANDAS (redundant r=8):\n");
       harness::print_summary("(a) time to sampling",
                              snap.series_named("sampling_ms").summary, "ms");
@@ -76,31 +63,23 @@ int main(int argc, char** argv) {
   }
   {
     harness::GossipDasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = slots;
-    cfg.net.sim_threads = obs.sim_threads;
+    cfg.net = base.net;
+    cfg.slots = base.slots;
     const auto res = harness::GossipDasExperiment(cfg).run();
     const auto snap =
-        harness::snapshot_of("fig12/gossip-das", cfg.net, slots, res);
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+        harness::snapshot_of("fig12/gossip-das", cfg.net, cfg.slots, res);
+    if (!obs.emit_json(snap)) {
       print_baseline(snap, "GossipSub-DAS baseline");
     }
   }
   {
     harness::DhtDasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = slots;
-    cfg.net.sim_threads = obs.sim_threads;
+    cfg.net = base.net;
+    cfg.slots = base.slots;
     const auto res = harness::DhtDasExperiment(cfg).run();
     const auto snap =
-        harness::snapshot_of("fig12/dht-das", cfg.net, slots, res);
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+        harness::snapshot_of("fig12/dht-das", cfg.net, cfg.slots, res);
+    if (!obs.emit_json(snap)) {
       print_baseline(snap, "Kademlia-DHT-DAS baseline");
     }
   }

@@ -2,11 +2,6 @@
 // (a) phase-time distributions, (b) fetch messages, (c) fetch bandwidth,
 // with the redundant seeding strategy.
 //
-//   ./build/bench/bench_fig13_scaling [--quick] [--max-nodes 20000]
-//                                     [--slots 3] [--json] [--trace-out F]
-//                                     [--metrics-out F] [--records-out F]
-//                                     [--engine-stats]
-//
 // --engine-stats appends a per-size scheduler line (events executed,
 // events/sec, wall seconds per sim second, peak queue depth) to stderr —
 // the numbers behind EXPERIMENTS.md's scheduler table.
@@ -19,21 +14,23 @@
 #include <cstdio>
 #include <vector>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const bool engine_stats = args.has("--engine-stats");
-  const auto max_nodes = static_cast<std::uint32_t>(
-      args.get_int("--max-nodes", quick ? 1000 : 3000));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", 1));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.quick = true});
+  harness::ObsCli obs(flags);
+  bool engine_stats = false;
+  std::uint32_t max_nodes = 3000;
+  flags.flag("--engine-stats", engine_stats,
+             "print per-size scheduler statistics on stderr");
+  flags.add("--max-nodes", max_nodes, "largest network size swept");
+  flags.quick_default("--max-nodes", max_nodes, run.quick, 1000u);
+  flags.parse(argc, argv);
 
   std::vector<std::uint32_t> sizes;
   for (const std::uint32_t n : {1000u, 3000u, 5000u, 10000u, 20000u}) {
@@ -42,19 +39,17 @@ int main(int argc, char** argv) {
 
   if (!obs.json) {
     harness::print_header("Fig 13 — PANDAS scaling (redundant r=8, " +
-                          std::to_string(slots) + " slot(s) per size)");
+                          std::to_string(run.slots) +
+                          " slot(s) per size)");
     std::printf("  %-7s %-10s %-10s %-10s %-9s %-10s %-10s %-8s\n", "N",
                 "seed p50", "cons p50", "samp p50", "samp p99", "msgs avg",
                 "MB avg", "met-4s");
   }
   for (const auto n : sizes) {
-    harness::PandasConfig cfg;
+    auto cfg = run.config(obs);
     cfg.net.nodes = n;
-    cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-    cfg.slots = slots;
     cfg.policy = core::SeedingPolicy::redundant(8);
     cfg.block_gossip = false;
-    obs.apply(cfg);
 
     harness::PandasExperiment experiment(cfg);
     if (engine_stats) experiment.parallel_engine().set_profiling(true);
@@ -79,9 +74,7 @@ int main(int argc, char** argv) {
     }
     const auto snap =
         harness::snapshot_of("fig13/n" + std::to_string(n), cfg, res);
-    if (obs.json) {
-      harness::ObsCli::emit_json(snap);
-    } else {
+    if (!obs.emit_json(snap)) {
       std::printf(
           "  %-7u %-10.0f %-10.0f %-10.0f %-9.0f %-10.0f %-10.2f %-7.2f%%\n",
           n, snap.series_named("seed_ms").summary.p50,

@@ -2,22 +2,16 @@
 // PANDAS and the two baselines as the network scales from 1,000 to 20,000
 // nodes.
 //
-//   ./build/bench/bench_fig14_baseline_scaling [--quick] [--max-nodes 20000]
-//                                              [--slots 2] [--json]
-//                                              [--trace-out F]
-//                                              [--metrics-out F]
-//                                              [--records-out F]
-//
 // The trace/metrics/records exporters cover the PANDAS runs; baselines
 // report through the snapshot/--json path only.
 
 #include <cstdio>
 #include <vector>
 
-#include "harness/args.h"
 #include "harness/baseline_experiments.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 namespace {
 
@@ -37,14 +31,12 @@ void print_row(std::uint32_t n, const char* system,
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const auto max_nodes = static_cast<std::uint32_t>(
-      args.get_int("--max-nodes", quick ? 1000 : 1000));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.quick = true});
+  harness::ObsCli obs(flags);
+  std::uint32_t max_nodes = 1000;
+  flags.add("--max-nodes", max_nodes, "largest network size swept");
+  flags.parse(argc, argv);
 
   std::vector<std::uint32_t> sizes;
   for (const std::uint32_t n : {1000u, 3000u, 5000u, 10000u, 20000u}) {
@@ -58,52 +50,40 @@ int main(int argc, char** argv) {
                 "sampling p50/p99 (ms)", "msgs avg / MB avg / met-4s");
   }
   for (const auto n : sizes) {
+    auto base = run.config(obs);
+    base.net.nodes = n;
     {
-      harness::PandasConfig cfg;
-      cfg.net.nodes = n;
-      cfg.net.seed = seed;
-      cfg.slots = slots;
+      auto cfg = base;
       cfg.policy = core::SeedingPolicy::redundant(8);
       cfg.block_gossip = false;
-      obs.apply(cfg);
       harness::PandasExperiment experiment(cfg);
       const auto res = experiment.run();
       const auto snap =
           harness::snapshot_of("fig14/pandas/n" + std::to_string(n), cfg, res);
-      if (obs.json) {
-        harness::ObsCli::emit_json(snap);
-      } else {
+      if (!obs.emit_json(snap)) {
         print_row(n, "PANDAS", snap, "fetch_messages", "fetch_mb");
       }
       obs.finish(experiment, "n" + std::to_string(n));
     }
     {
       harness::GossipDasConfig cfg;
-      cfg.net.nodes = n;
-      cfg.net.seed = seed;
-      cfg.slots = slots;
-      cfg.net.sim_threads = obs.sim_threads;
+      cfg.net = base.net;
+      cfg.slots = base.slots;
       const auto res = harness::GossipDasExperiment(cfg).run();
       const auto snap = harness::snapshot_of(
-          "fig14/gossip-das/n" + std::to_string(n), cfg.net, slots, res);
-      if (obs.json) {
-        harness::ObsCli::emit_json(snap);
-      } else {
+          "fig14/gossip-das/n" + std::to_string(n), cfg.net, cfg.slots, res);
+      if (!obs.emit_json(snap)) {
         print_row(n, "GossipSub-DAS", snap, "messages", "traffic_mb");
       }
     }
     {
       harness::DhtDasConfig cfg;
-      cfg.net.nodes = n;
-      cfg.net.seed = seed;
-      cfg.slots = slots;
-      cfg.net.sim_threads = obs.sim_threads;
+      cfg.net = base.net;
+      cfg.slots = base.slots;
       const auto res = harness::DhtDasExperiment(cfg).run();
       const auto snap = harness::snapshot_of(
-          "fig14/dht-das/n" + std::to_string(n), cfg.net, slots, res);
-      if (obs.json) {
-        harness::ObsCli::emit_json(snap);
-      } else {
+          "fig14/dht-das/n" + std::to_string(n), cfg.net, cfg.slots, res);
+      if (!obs.emit_json(snap)) {
         print_row(n, "DHT-DAS", snap, "messages", "traffic_mb");
       }
     }

@@ -11,11 +11,6 @@
 // peers greylisted) alongside the timing columns. A hardened run keeps
 // "corr-acc" at exactly 0 on every row.
 //
-//   ./build/bench/bench_fig15_faults [--nodes 10000] [--slots 2] [--quick]
-//                                    [--json] [--trace-out F]
-//                                    [--metrics-out F] [--records-out F]
-//                                    [--no-verify] [--no-reputation]
-//
 // Defaults run at a few hundred nodes so the suite completes on a laptop;
 // pass --nodes 10000 for the paper's scale.
 
@@ -23,11 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/fault_cli.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 namespace {
 
@@ -56,15 +51,11 @@ void apply_axis(pandas::harness::PandasConfig& cfg, Axis axis, double f) {
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
-  const auto fault_cli = harness::FaultCli::parse(args);
-  const auto nodes = static_cast<std::uint32_t>(
-      args.get_int("--nodes", quick ? 300 : 500));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  harness::FaultCli fault_cli(flags);
+  flags.parse(argc, argv);
 
   // The paper's Fig 15 axes sweep to 80 %; the adversarial axes stop at
   // 40 % (an honest majority per line is a protocol assumption, §4.1).
@@ -83,19 +74,15 @@ int main(int argc, char** argv) {
   const auto sweep_of = [&](const AxisSpec& spec) -> std::vector<double> {
     const bool paper_axis =
         spec.axis == Axis::kDead || spec.axis == Axis::kOutOfView;
-    if (quick && !paper_axis && spec.axis != Axis::kByzantine) return {};
+    if (run.quick && !paper_axis && spec.axis != Axis::kByzantine) return {};
     return paper_axis ? paper_fracs : adv_fracs;
   };
   const auto config_of = [&](const AxisSpec& spec, double f) {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = slots;
+    auto cfg = run.config(obs);
     cfg.policy = core::SeedingPolicy::redundant(8);
     cfg.block_gossip = false;
     fault_cli.apply(cfg);
     apply_axis(cfg, spec.axis, f);
-    obs.apply(cfg);
     return cfg;
   };
   // A sweep point sets one behavior fraction on top of the fault flags:
@@ -116,8 +103,8 @@ int main(int argc, char** argv) {
     if (fracs.empty()) continue;
     if (!obs.json) {
       harness::print_header(std::string("Fig 15") + spec.tag + " — " +
-                            spec.title + " nodes (" + std::to_string(nodes) +
-                            " nodes)");
+                            spec.title + " nodes (" +
+                            std::to_string(run.nodes) + " nodes)");
       std::printf("  %-9s %-12s %-12s %-12s %-10s %-10s %-9s %-9s\n",
                   "fraction", "cons p50", "samp p50", "samp p99", "met-4s",
                   "corr-rej", "corr-acc", "greylist");
@@ -130,9 +117,7 @@ int main(int argc, char** argv) {
           std::string("fig15") + spec.tag + "/f" +
               std::to_string(static_cast<int>(f * 100)),
           cfg, res);
-      if (obs.json) {
-        harness::ObsCli::emit_json(snap);
-      } else {
+      if (!obs.emit_json(snap)) {
         const auto& cons = snap.series_named("consolidation_ms").summary;
         const auto& samp = snap.series_named("sampling_ms").summary;
         std::printf(

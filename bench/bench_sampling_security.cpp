@@ -3,15 +3,13 @@
 // 1e-9 analytically; we also verify empirically that simulated withholding
 // attacks are detected.
 //
-//   ./build/bench/bench_sampling_security [--samples 73] [--trials 200000]
-//
-// Accepts the shared observability flags (--trace-out / --metrics-out /
-// --records-out) for drop-in use in scripted sweeps; this bench runs no
-// network experiment, so the exports are trivially valid empty files.
+// Accepts the shared observability flags for drop-in use in scripted sweeps;
+// this bench runs no network experiment, so the exports are trivially valid
+// empty files.
 
 #include <cstdio>
 
-#include "harness/args.h"
+#include "harness/flags.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
 #include "util/prng.h"
@@ -34,11 +32,13 @@ double analytic_bound(std::uint32_t s) {
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const auto samples = static_cast<std::uint32_t>(args.get_int("--samples", 73));
-  const auto trials = static_cast<std::uint64_t>(
-      args.get_int("--trials", 200000));
-  harness::ObsCli::parse(args).finish_empty();
+  harness::Flags flags;
+  std::uint32_t samples = 73;
+  std::uint64_t trials = 200000;
+  flags.add("--samples", samples, "cells sampled per node", 1u, 512u * 512u);
+  flags.add("--trials", trials, "withholding attacks simulated");
+  harness::ObsCli obs(flags);
+  flags.parse(argc, argv);
 
   harness::print_header("Sampling security (paper §3)");
   std::printf("  s (samples per node)              : %u\n", samples);

@@ -16,9 +16,6 @@
 // (harness/fault_cli.h) replaces the battery with that single custom mix.
 // scripts/soak.py sweeps seeds through this binary.
 //
-//   ./build/bench/bench_soak [--nodes 200] [--slots 3] [--seed 42]
-//                            [--threads 4] [--mix NAME] [--quick] [--list]
-//
 // Exit status is non-zero if any invariant fails.
 
 #include <cstdio>
@@ -27,10 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/fault_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 namespace {
 
@@ -117,26 +114,30 @@ RunOutput run_once(const PandasConfig& cfg) {
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto fault_cli = harness::FaultCli::parse(args);
-  const auto nodes = static_cast<std::uint32_t>(
-      args.get_int("--nodes", quick ? 150 : 200));
-  const auto slots =
-      static_cast<std::uint32_t>(args.get_int("--slots", quick ? 2 : 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  const auto threads = static_cast<std::uint32_t>(
-      args.get_int("--threads", 4, 1, pandas::harness::kMaxSimThreads));
-  const std::string only = args.get_str("--mix", "");
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 200, .slots = 3, .quick = true,
+                              .quick_nodes = 150, .quick_slots = 2});
+  harness::FaultCli fault_cli(flags);
+  std::uint32_t threads = 4;
+  std::string only;
+  bool list = false;
+  flags.add("--threads", threads, "engine shards of the sharded run",
+            std::uint32_t{1}, harness::kMaxSimThreads);
+  std::vector<std::string> mix_names = {"custom"};
+  for (const auto& m : kMixes) mix_names.emplace_back(m.name);
+  flags.choice("--mix", only, mix_names,
+               "run only this mix (custom: the fault flags given)");
+  flags.flag("--list", list, "print the built-in mix names and exit");
+  flags.parse(argc, argv);
 
-  if (args.has("--list")) {
+  if (list) {
     for (const auto& m : kMixes) std::printf("%s\n", m.name);
     return 0;
   }
 
-  harness::print_header("Chaos soak — seed " + std::to_string(seed) + ", " +
-                        std::to_string(nodes) + " nodes, " +
-                        std::to_string(slots) + " slots");
+  harness::print_header("Chaos soak — seed " + std::to_string(run.seed) +
+                        ", " + std::to_string(run.nodes) + " nodes, " +
+                        std::to_string(run.slots) + " slots");
 
   int failures = 0;
   const auto fail = [&failures](const std::string& mix, const char* what) {
@@ -152,10 +153,7 @@ int main(int argc, char** argv) {
 
   for (const auto& mix : mixes) {
     if (!only.empty() && only != mix.name) continue;
-    PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = slots;
+    PandasConfig cfg = run.config();
     cfg.policy = core::SeedingPolicy::redundant(8);
     cfg.block_gossip = false;
     cfg.obs.collect_records = true;

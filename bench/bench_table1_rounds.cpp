@@ -1,40 +1,32 @@
 // Reproduces Table 1: "Fetching algorithm performance in successive rounds"
 // (values averaged over all nodes, +- standard deviation), for the redundant
 // seeding strategy at 1,000 nodes.
-//
-//   ./build/bench/bench_table1_rounds [--nodes 1000] [--slots 10] [--quick]
-//                                     [--json] [--trace-out F]
-//                                     [--metrics-out F] [--records-out F]
 
 #include <algorithm>
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/obs_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  const bool quick = args.has("--quick");
-  const auto obs = harness::ObsCli::parse(args);
+  harness::Flags flags;
+  harness::RunCli run(flags,
+                      {.nodes = 1000, .quick = true, .quick_nodes = 300});
+  harness::ObsCli obs(flags);
+  flags.parse(argc, argv);
 
-  harness::PandasConfig cfg;
-  cfg.net.nodes = static_cast<std::uint32_t>(
-      args.get_int("--nodes", quick ? 300 : 1000));
-  cfg.slots = static_cast<std::uint32_t>(args.get_int("--slots", 1));
-  cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
+  auto cfg = run.config(obs);
   cfg.policy = core::SeedingPolicy::redundant(8);
   cfg.block_gossip = false;
-  obs.apply(cfg);
 
   harness::PandasExperiment experiment(cfg);
   const auto results = experiment.run();
   const auto snap = harness::snapshot_of("table1/redundant-8", cfg, results);
 
-  if (obs.json) {
-    harness::ObsCli::emit_json(snap);
+  if (obs.emit_json(snap)) {
     obs.finish(experiment);
     return 0;
   }

@@ -7,28 +7,23 @@
 // are rejected at the door (never accepted into custody), misbehaving peers
 // are demoted and greylisted, and the correct population still consolidates
 // and samples within the 4 s deadline.
-//
-//   ./build/examples/adversary [--nodes 500] [--slots 2] [--seed 42]
-//                              [--byzantine 0.05] [--dead 0.05] ... (see
-//                              harness/fault_cli.h for the full flag set)
 
 #include <cstdio>
 
 #include "fault/fault.h"
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/fault_cli.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-  auto fault_cli = harness::FaultCli::parse(args);
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .slots = 2});
+  harness::FaultCli fault_cli(flags);
+  flags.parse(argc, argv);
 
-  harness::PandasConfig cfg;
-  cfg.net.nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 500));
-  cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  cfg.slots = static_cast<std::uint32_t>(args.get_int("--slots", 2));
+  auto cfg = run.config();
   cfg.block_gossip = false;
 
   // Default cocktail when no axis is given on the command line.

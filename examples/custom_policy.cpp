@@ -4,14 +4,12 @@
 // copy restricted to the best-provisioned half of the network — and compares
 // its cost/latency trade-off against the built-in policies through the
 // public SeedPlan API.
-//
-//   ./build/examples/custom_policy [--nodes 500]
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 using namespace pandas;
 
@@ -53,18 +51,19 @@ core::SeedPlan cautious_plan(const core::ProtocolParams& params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::Args args(argc, argv);
-  const auto nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 500));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 3));
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .slots = 0, .seed = 3});
+  flags.parse(argc, argv);
 
   // First show the plan-level economics of the built-in policies.
   harness::print_header("Builder egress by policy (plan level)");
   {
     core::ProtocolParams params;
-    const auto dir = net::Directory::create(nodes);
-    const core::AssignmentTable table(params, dir, core::epoch_seed(seed, 0));
-    const auto view = core::View::full(nodes);
-    util::Xoshiro256 rng(seed);
+    const auto dir = net::Directory::create(run.nodes);
+    const core::AssignmentTable table(params, dir,
+                                      core::epoch_seed(run.seed, 0));
+    const auto view = core::View::full(run.nodes);
+    util::Xoshiro256 rng(run.seed);
     for (const auto& policy :
          {core::SeedingPolicy::minimal(), core::SeedingPolicy::single(),
           core::SeedingPolicy::redundant(8)}) {
@@ -85,10 +84,7 @@ int main(int argc, char** argv) {
   harness::print_header("End-to-end comparison");
   for (const auto& policy :
        {core::SeedingPolicy::single(), core::SeedingPolicy::redundant(8)}) {
-    harness::PandasConfig cfg;
-    cfg.net.nodes = nodes;
-    cfg.net.seed = seed;
-    cfg.slots = 1;
+    auto cfg = run.config();
     cfg.policy = policy;
     cfg.block_gossip = false;
     const auto res = harness::PandasExperiment(cfg).run();

@@ -3,25 +3,27 @@
 // that (a) sampling degrades gracefully (paper Fig 15) and (b) a builder
 // withholding blob data is always detected — no node ever attests
 // availability of withheld data.
-//
-//   ./build/examples/fault_injection [--nodes 500] [--dead 0.3] [--oov 0.2]
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .slots = 2, .seed = 11});
+  double dead = 0.3;
+  double oov = 0.2;
+  flags.fraction("--dead", dead, "fail-silent node fraction");
+  flags.fraction("--oov", oov,
+                 "fraction of the network missing from each node's view");
+  flags.parse(argc, argv);
 
-  harness::PandasConfig cfg;
-  cfg.net.nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 500));
-  cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 11));
-  cfg.slots = static_cast<std::uint32_t>(args.get_int("--slots", 2));
-  cfg.faults.dead_fraction = args.get_double("--dead", 0.3, 0.0, 1.0);
-  cfg.out_of_view_fraction = args.get_double("--oov", 0.2);
+  auto cfg = run.config();
+  cfg.faults.dead_fraction = dead;
+  cfg.out_of_view_fraction = oov;
   cfg.block_gossip = false;
 
   std::printf("PANDAS fault injection: %u nodes, %.0f%% dead, %.0f%% out-of-view\n",
@@ -69,9 +71,7 @@ int main(int argc, char** argv) {
   // received cell, so the corrupt cells never enter custody, nothing is
   // servable, and — exactly as with withholding — zero nodes attest.
   harness::print_header("Corrupt-builder attack");
-  harness::PandasConfig ccfg;
-  ccfg.net.nodes = cfg.net.nodes;
-  ccfg.net.seed = cfg.net.seed;
+  auto ccfg = run.config();
   ccfg.slots = 1;
   ccfg.block_gossip = false;
   ccfg.faults.builder.corrupt = true;

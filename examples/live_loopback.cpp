@@ -9,17 +9,14 @@
 // drops (send/EMSGSIZE/decode failures). Tolerances are documented in
 // docs/UDP.md ("Sim-vs-live parity").
 //
-//   ./build/examples/live_loopback [--nodes 200] [--seed 42] [--run-ms 3000]
-//                                  [--parity] [--json]
-//
 // Exit status: 0 when the live slot fully samples (and, with --parity, the
 // ParityReport passes); 1 otherwise — so CI can gate on it directly.
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/live_run.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 #include "obs/json.h"
 
 namespace {
@@ -61,14 +58,19 @@ void write_outcome_json(pandas::obs::JsonWriter& w, const SlotOutcome& out) {
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
-
   auto cfg = harness::LiveRunConfig::loopback_defaults();
-  cfg.nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 200));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  cfg.run_for = args.get_int("--run-ms", 3000) * sim::kMillisecond;
-  const bool parity = args.has("--parity");
-  const bool json = args.has("--json");
+  cfg.run_for = 3000 * sim::kMillisecond;
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 200, .slots = 0});
+  bool parity = false;
+  bool json = false;
+  flags.millis("--run-ms", cfg.run_for, "wall-clock budget of the live slot");
+  flags.flag("--parity", parity,
+             "replay the slot on the lossless simulator and compare");
+  flags.flag("--json", json, "print the outcome as JSON");
+  flags.parse(argc, argv);
+  cfg.nodes = run.nodes;
+  cfg.seed = run.seed;
 
   if (!json) {
     harness::print_header(parity ? "live_loopback: UDP soak + sim parity"

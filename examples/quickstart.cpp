@@ -1,24 +1,23 @@
 // Quickstart: run one PANDAS slot cycle on a simulated WAN and watch the
 // three protocol phases (seeding -> consolidation -> sampling) complete
 // within Ethereum's 4-second attestation deadline.
-//
-//   ./build/examples/quickstart [--nodes 500] [--slots 2] [--policy redundant]
 
 #include <cstdio>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/run_cli.h"
 
 int main(int argc, char** argv) {
   using namespace pandas;
-  harness::Args args(argc, argv);
+  harness::Flags flags;
+  harness::RunCli run(flags, {.nodes = 500, .slots = 2, .seed = 7});
+  std::string policy = "redundant";
+  flags.choice("--policy", policy, {"minimal", "single", "redundant"},
+               "builder seeding policy");
+  flags.parse(argc, argv);
 
-  harness::PandasConfig cfg;
-  cfg.net.nodes = static_cast<std::uint32_t>(args.get_int("--nodes", 500));
-  cfg.net.seed = static_cast<std::uint64_t>(args.get_int("--seed", 7));
-  cfg.slots = static_cast<std::uint32_t>(args.get_int("--slots", 2));
-  const std::string policy = args.get_str("--policy", "redundant");
+  auto cfg = run.config();
   if (policy == "minimal") {
     cfg.policy = core::SeedingPolicy::minimal();
   } else if (policy == "single") {

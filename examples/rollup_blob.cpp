@@ -10,8 +10,6 @@
 //   4. a fraud-proof verifier reconstructs the batch from a partial,
 //      adversarially-chosen subset of cells (data withheld up to the
 //      reconstruction threshold) and checks integrity end-to-end.
-//
-//   ./build/examples/rollup_blob [--txs 2000] [--k 32]
 
 #include <cstdio>
 #include <cstring>
@@ -19,7 +17,7 @@
 #include <vector>
 
 #include "erasure/extended_blob.h"
-#include "harness/args.h"
+#include "harness/flags.h"
 #include "harness/report.h"
 #include "util/prng.h"
 
@@ -44,11 +42,13 @@ std::vector<std::uint8_t> make_batch(std::uint32_t tx_count,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::Args args(argc, argv);
-  const auto txs = static_cast<std::uint32_t>(args.get_int("--txs", 1200));
-
+  harness::Flags flags;
+  std::uint32_t txs = 1200;
   erasure::BlobConfig cfg;
-  cfg.k = static_cast<std::uint32_t>(args.get_int("--k", 32));
+  cfg.k = 32;
+  flags.add("--txs", txs, "transactions in the rollup batch", 1u, 100'000u);
+  flags.add("--k", cfg.k, "original cells per blob line", 1u, 256u);
+  flags.parse(argc, argv);
   cfg.n = 2 * cfg.k;
   cfg.cell_bytes = 128;
 

@@ -7,10 +7,16 @@ CHANGES, docs/*.md):
   1. intra-repo links resolve — every relative [text](path) target exists;
   2. code fences are balanced in every file;
   3. referenced artifacts exist — `bench_*` / `examples/*` binaries named in
-     docs correspond to sources, and every `--flag` spelled in docs appears
-     somewhere in the source tree (a renamed or deleted CLI flag makes its
-     documentation stale);
+     docs correspond to sources, and every `--flag` spelled in docs is one a
+     program declares: a bench binary or example (its `--help` table), the
+     benchmark driver pandas_perf (its usage text), a script (its argparse
+     flags or, for tier1.sh, its options), or an external tool. A flag that
+     follows a program's name in a documented command must be one of that
+     program's own flags;
   4. every page under docs/ is linked from the README's documentation index.
+
+    scripts/check_docs.py [--build DIR]   # DIR holds the built binaries
+                                          # (default: build)
 
 Exit status is non-zero if any check fails; findings are printed one per
 line as `file: message`.
@@ -18,9 +24,12 @@ line as `file: message`.
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
+
+from check_cli import help_table
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -32,10 +41,6 @@ DOC_FILES = sorted(
      if p.name not in {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}]
     + list(REPO.glob("docs/*.md")))
 
-# Directories whose sources define the CLI surface documented in the docs.
-SOURCE_DIRS = ["src", "bench", "tests", "examples", "scripts", "perfbench"]
-SOURCE_SUFFIXES = {".cpp", ".h", ".py", ".sh", ".txt"}  # .txt: CMakeLists
-
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9][a-z0-9_-]*)")
 # A leading dot names a hidden directory (the benchmark's `.bench_build/`),
@@ -44,20 +49,95 @@ BINARY_RE = re.compile(r"(?<!\.)\b(bench_[a-z0-9_]+)\b")
 EXAMPLE_RE = re.compile(r"examples/([a-z0-9_]+)\b")
 SCRIPT_RE = re.compile(r"scripts/([a-z0-9_]+\.(?:py|sh))\b")
 
-# External tool flags that legitimately appear in docs but not in our code.
-FLAG_ALLOWLIST = {"--help"}
+# Flags of external tools named in the docs: cmake, ctest and Google
+# Benchmark (bench_micro's argv belongs to it).
+EXTERNAL_FLAGS = {"cmake": {"--build"},
+                  "ctest": {"--test-dir", "--output-on-failure"},
+                  "bench_micro": {"--benchmark_filter"}}
+# Program names in a documented command, mapped to the key of their flags.
+PROGRAM_RE = re.compile(
+    r"(?:^|/)(bench_[a-z0-9_]+|pandas_perf|cmake|ctest|"
+    r"(?:examples|scripts|perfbench)/[a-z0-9_]+(?:\.py|\.sh)?)$")
+ARGPARSE_RE = re.compile(r"add_argument\(\s*\"(--[a-z0-9][a-z0-9_-]*)\"")
+SHELL_OPTION_RE = re.compile(r"== \"(--[a-z0-9][a-z0-9_-]*)\"")
+USAGE_RE = re.compile(r"kUsage =(.*?);", re.S)
 
 
-def source_corpus() -> str:
-    chunks = []
-    for d in SOURCE_DIRS:
-        for p in (REPO / d).rglob("*"):
-            if p.suffix in SOURCE_SUFFIXES and p.is_file():
-                chunks.append(p.read_text(errors="replace"))
-    return "\n".join(chunks)
+def declared_flags(build: Path, problems: list[str]) -> dict[str, set[str]]:
+    """Program key -> the flags it declares."""
+    flags: dict[str, set[str]] = dict(EXTERNAL_FLAGS)
+    for src in sorted(REPO.glob("bench/*.cpp")) + sorted(
+            REPO.glob("examples/*.cpp")):
+        if src.stem == "bench_micro":
+            continue
+        binary = build / src.parent.name / src.stem
+        table = help_table(str(binary)) if binary.exists() else None
+        if table is None:
+            problems.append(f"{binary}: missing or without a --help table "
+                            "(build the repo first)")
+            continue
+        key = src.stem if src.parent.name == "bench" else f"examples/{src.stem}"
+        flags[key] = set(table)
+    usage = USAGE_RE.search((REPO / "perfbench/pandas_perf.cpp").read_text())
+    flags["pandas_perf"] = set(FLAG_RE.findall(usage.group(1))) | {"--help"}
+    for script in sorted(REPO.glob("scripts/*.py")) + sorted(
+            REPO.glob("perfbench/*.py")):
+        key = f"{script.parent.name}/{script.name}"
+        flags[key] = set(ARGPARSE_RE.findall(script.read_text())) | {"--help"}
+    flags["scripts/tier1.sh"] = set(
+        SHELL_OPTION_RE.findall((REPO / "scripts/tier1.sh").read_text()))
+    return flags
 
 
-def check_file(path: Path, corpus: str, problems: list[str]) -> None:
+def known(flag: str, allowed: set[str]) -> bool:
+    """A trailing dash names a flag family (`--ge-*`)."""
+    if flag.endswith("-"):
+        return any(f.startswith(flag) for f in allowed)
+    return flag in allowed
+
+
+def commands(lines: list[str]) -> list[tuple[int, str]]:
+    """Documented commands: inline code spans, and fenced lines joined across
+    trailing backslashes, with their line numbers."""
+    out: list[tuple[int, str]] = []
+    in_fence = False
+    pending = ""
+    for lineno, line in enumerate(lines, 1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            pending = ""
+            continue
+        if in_fence:
+            pending += line.rstrip().rstrip("\\") + " "
+            if not line.rstrip().endswith("\\"):
+                out.append((lineno, pending))
+                pending = ""
+        else:
+            out += [(lineno, span) for span in re.findall(r"`([^`]+)`", line)]
+    return out
+
+
+def check_commands(rel: Path, lines: list[str],
+                   flags: dict[str, set[str]], problems: list[str]) -> None:
+    for lineno, command in commands(lines):
+        program = None
+        for token in command.split():
+            if token in {"|", "||", "&&", ";", ">", "2>"}:
+                program = None
+                continue
+            m = PROGRAM_RE.search(token)
+            if m is not None and m.group(1) in flags:
+                program = m.group(1)
+                continue
+            flag = token.split("=", 1)[0]
+            if program is not None and FLAG_RE.fullmatch(flag) and not known(
+                    flag, flags[program]):
+                problems.append(f"{rel}:{lineno}: {program} does not "
+                                f"declare {flag}")
+
+
+def check_file(path: Path, flags: dict[str, set[str]],
+               problems: list[str]) -> None:
     rel = path.relative_to(REPO)
     text = path.read_text(errors="replace")
     lines = text.splitlines()
@@ -90,12 +170,12 @@ def check_file(path: Path, corpus: str, problems: list[str]) -> None:
                     f"{rel}:{lineno}: dead link -> {target_path}")
 
     # 3. stale flags / binaries / scripts.
+    every_flag = set().union(*flags.values())
     for flag in sorted(set(FLAG_RE.findall(text))):
-        if flag in FLAG_ALLOWLIST:
-            continue
-        if flag not in corpus:
+        if not known(flag, every_flag):
             problems.append(
-                f"{rel}: documents flag {flag} not found in sources")
+                f"{rel}: documents flag {flag} that no program declares")
+    check_commands(rel, lines, flags, problems)
     for binary in sorted(set(BINARY_RE.findall(text))):
         if not (REPO / "bench" / f"{binary}.cpp").exists():
             problems.append(
@@ -122,10 +202,14 @@ def check_readme_index(problems: list[str]) -> None:
 
 
 def main() -> int:
-    corpus = source_corpus()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--build", default="build",
+                    help="build tree holding bench/ and examples/ binaries")
+    args = ap.parse_args()
     problems: list[str] = []
+    flags = declared_flags(REPO / args.build, problems)
     for path in DOC_FILES:
-        check_file(path, corpus, problems)
+        check_file(path, flags, problems)
     check_readme_index(problems)
     if problems:
         for p in problems:

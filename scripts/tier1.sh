@@ -15,11 +15,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Documentation drift check first: dead intra-repo links, unbalanced code
-# fences, flags/binaries documented but gone from the sources, and docs/
-# pages missing from the README index. Cheap, so it runs before the build.
-python3 scripts/check_docs.py
-
 BUILD_DIR=build
 CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release)
 if [[ "${1:-}" == "--asan" ]]; then
@@ -49,6 +44,13 @@ fi
 
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
+
+# Documentation drift check: dead intra-repo links, unbalanced code fences,
+# binaries documented but gone from the sources, documented flags that no
+# program declares (the built binaries' --help tables), and docs/ pages
+# missing from the README index.
+python3 scripts/check_docs.py --build "${BUILD_DIR}"
+
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
 # Observability smoke job: a quick fig09 run must produce a valid Chrome

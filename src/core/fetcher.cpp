@@ -615,12 +615,6 @@ void AdaptiveFetcher::run_round() {
   // restarts with the cycle.
   sim::Time next_round_in = timeout;
   if (st.messages_sent == 0 && missing_.size() > 0 && !query_round_.empty()) {
-    if (++cycles_used_ > params_.max_cycles) {
-      // Give up on active querying; buffered queries at peers may still
-      // deliver the rest of F as their holders consolidate.
-      rounds_active_ = false;
-      return;
-    }
     query_round_.clear();
     missing_.reset_coverage();
     hedges_for_.clear();  // a fresh cycle earns a fresh hedge budget

@@ -341,7 +341,6 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   bool rounds_active_ = false;
   std::uint32_t round_ = 0;
   std::uint32_t cycle_start_round_ = 0;  // round at which this cycle began
-  std::uint32_t cycles_used_ = 1;
   std::vector<sim::Time> round_deadline_;  // index: round-1
   std::unordered_map<net::NodeIndex, std::uint32_t> query_round_;
   /// Peers that replied to their outstanding query (re-querying in a later

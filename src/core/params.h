@@ -25,18 +25,17 @@ struct ProtocolParams {
   std::uint32_t samples_per_node = 73;
 
   /// Adaptive fetching schedule (§7): round i uses timeout t_i and per-cell
-  /// query redundancy k_i. Defaults follow the normative text: t = 400, 200,
-  /// then 100 ms; k = 1, 2, then +2 per round capped at 10.
+  /// query redundancy k_i. Defaults: t = 400, 200, then 100 ms, as the
+  /// normative text has it; k_i as redundancy_for_round() explains.
   sim::Time first_round_timeout = 400 * sim::kMillisecond;
   sim::Time min_round_timeout = 100 * sim::kMillisecond;
   std::uint32_t max_redundancy = 10;
-  std::uint32_t max_rounds = 50;
-  /// FETCH re-invocations per slot after candidate exhaustion (each cycle
-  /// may query every peer once). Re-invocations start after a fresh
-  /// first_round_timeout pause with cycle-relative schedules; max_rounds
-  /// bounds the total effort. Sparse seeding policies need several cycles:
+  /// Bounds the total effort of a slot, including FETCH re-invocations
+  /// after candidate exhaustion (each cycle may query every peer once).
+  /// Re-invocations start after a fresh first_round_timeout pause with
+  /// cycle-relative schedules. Sparse seeding policies need several cycles:
   /// cells of a "later wave" only exist once earlier waves reconstruct.
-  std::uint32_t max_cycles = 1000;  // max_rounds is the effective bound
+  std::uint32_t max_rounds = 50;
 
   /// Score boost per boosted missing cell (§7: "overwhelming advantage").
   double cb_boost = 10'000.0;
@@ -122,16 +121,12 @@ struct ProtocolParams {
   /// queried from k_i distinct nodes in total by the end of round i, so each
   /// round adds k_i - k_{i-1} fresh queries per still-missing cell.
   ///
-  /// Default k_i = min(i, max_redundancy), per Fig 8 (k3=3, k4=4) — the
-  /// schedule consistent with Table 1's per-round request counts (§7's prose
-  /// sketches a steeper +2-per-round variant; both are expressible here via
-  /// redundancy_step).
-  std::uint32_t redundancy_step = 1;
-
+  /// k_i = min(i, max_redundancy), per Fig 8 (k3=3, k4=4) — the schedule
+  /// consistent with Table 1's per-round request counts (§7's prose sketches
+  /// a steeper +2-per-round variant).
   [[nodiscard]] std::uint32_t redundancy_for_round(std::uint32_t round) const noexcept {
     if (!adaptive) return 1;
-    const std::uint32_t k = 1 + redundancy_step * (round - 1);
-    return k > max_redundancy ? max_redundancy : k;
+    return round > max_redundancy ? max_redundancy : round;
   }
 
   [[nodiscard]] std::uint32_t lines_total() const noexcept {

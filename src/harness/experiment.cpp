@@ -10,7 +10,12 @@ namespace pandas::harness {
 
 namespace {
 constexpr std::uint64_t kBlockTopic = 0xb10cULL;
-}
+/// The builder runs in the cloud: its vertex is drawn from the
+/// best-connected 20 % of the topology (§4.1).
+constexpr double kBuilderBestFraction = 0.2;
+/// Payload of the block the proposer gossips alongside seeding: 128 KiB.
+constexpr std::uint32_t kBlockBytes = 128 * 1024;
+}  // namespace
 
 SimNetwork::SimNetwork(const NetworkConfig& cfg,
                        util::Xoshiro256& placement_rng)
@@ -25,7 +30,7 @@ SimNetwork::SimNetwork(const NetworkConfig& cfg,
         placement_rng.uniform(topology_.vertex_count())));
   }
   // The builder lives on a well-connected (cloud) vertex.
-  const auto best = topology_.best_vertices(cfg.builder_best_fraction);
+  const auto best = topology_.best_vertices(kBuilderBestFraction);
   builder_index_ =
       transport_.add_node(best[placement_rng.uniform(best.size())],
                           cfg.builder_up_bps, cfg.builder_down_bps);
@@ -293,7 +298,7 @@ core::Builder::SeedingReport PandasExperiment::run_slot(std::uint64_t slot,
     block.topic = kBlockTopic;
     block.msg_id = util::mix64(0xb10c0000ULL + slot);
     block.slot = slot;
-    block.extra_bytes = cfg_.block_bytes;
+    block.extra_bytes = kBlockBytes;
     block_arrival_[proposer] = slot_start;
     gossip_[proposer]->publish(std::move(block));
   }

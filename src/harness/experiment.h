@@ -35,7 +35,6 @@ struct NetworkConfig {
   net::SimTransportConfig transport{};   // defaults: 3% loss, 25 Mbps nodes
   double builder_up_bps = 10e9;          // medium cloud instance (§4.1)
   double builder_down_bps = 10e9;
-  double builder_best_fraction = 0.2;    // builder vertex drawn from best 20%
   /// Worker shards for the parallel engine (--sim-threads). 1 (default) runs
   /// the classic serial engine; any value produces byte-identical exports
   /// (docs/SIMULATION.md "Parallel execution").
@@ -119,7 +118,6 @@ struct PandasConfig {
   double out_of_view_fraction = 0.0;
   /// Run the block-dissemination GossipSub channel alongside (Fig 9a).
   bool block_gossip = true;
-  std::uint32_t block_bytes = 128 * 1024;
   /// Simulated time between slot starts; phases must finish well within it.
   sim::Time slot_duration = sim::kSlotDuration;
   ObsConfig obs{};

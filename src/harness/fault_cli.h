@@ -1,122 +1,94 @@
 #pragma once
 
-#include "harness/args.h"
 #include "harness/experiment.h"
+#include "harness/flags.h"
 
-/// Shared fault-injection CLI surface for bench binaries and examples:
-///   --dead F                fail-silent fraction (Fig 15a axis)
-///   --byzantine F           byzantine-corrupt fraction
-///   --withhold F            selective-withholder fraction
-///   --freerider F           mute free-rider fraction
-///   --straggler F           straggler fraction
-///   --churn F               churner fraction
-///   --corrupt-rate R        fraction of a byzantine peer's cells corrupted
-///   --withhold-cap N        cells served per line before withholding
-///   --straggler-delay-ms N  extra service delay per transmission
-///   --churn-down-ms N       downtime per mid-slot departure
-///   --builder-corrupt       builder garbles its seed proof tags
-///   --builder-withhold      builder withholds the decode-threshold column
-///   --no-verify             disable proof-tag verification (accept corrupt)
-///   --no-reputation         disable peer reputation / greylisting
-///   --fault-seed N          dedicated adversary seed (0 = experiment seed)
-///
-/// Link-state chaos (orthogonal sets; may overlap the behaviors above):
-///   --partition F           fraction split off each slot (group split)
-///   --partition-heal-ms N   partition window length (heal time)
-///   --partition-offset-ms N window start relative to slot start
-///   --flap F                fraction whose link flaps (square wave)
-///   --flap-period-ms N      flap period
-///   --flap-down-ms N        down-time per period
-///   --loss-burst F          fraction with Gilbert–Elliott burst loss
-///   --ge-p-enter P          P(good -> bad) per packet
-///   --ge-p-exit P           P(bad -> good) per packet
-///   --ge-loss-bad P         per-packet loss while in the bad state
-///   --bw-collapse F         fraction whose link rates collapse each slot
-///   --bw-factor R           rate multiplier during the collapse window
-///   --bw-offset-ms N        collapse window start relative to slot start
-///   --bw-duration-ms N      collapse window length
-///   --hedged                enable RTO-driven hedged duplicate queries
-///
-/// Every fraction must lie in [0, 1], and the behavior fractions draw
-/// disjoint node sets, so they must sum to <= 1; a value breaking either rule
-/// exits 2 with `<flag>: bad value '<v>'`.
+/// Shared fault-injection and link-chaos flags for bench binaries and
+/// examples (`--help` lists them). Every fraction must lie in [0, 1], and the
+/// behavior fractions draw disjoint node sets, so they must sum to <= 1; a
+/// value breaking either rule exits 2 with `<flag>: bad value '<v>'`.
 namespace pandas::harness {
 
 struct FaultCli {
   fault::FaultConfig faults;
-  bool verify_cells = true;
-  bool reputation = true;
+  bool no_verify = false;
+  bool no_reputation = false;
   bool hedging = false;
 
-  [[nodiscard]] static FaultCli parse(const Args& args) {
-    FaultCli cli;
-    auto& f = cli.faults;
-    const auto fraction = [&args](const char* flag) {
-      return args.get_double(flag, 0.0, 0.0, 1.0);
-    };
+  /// Declares the fault flags into `flags`.
+  explicit FaultCli(Flags& flags) {
+    auto& f = faults;
     // Behavior flags in FaultConfig::behavior_overflow() order.
     static constexpr const char* kBehaviorFlags[] = {
         "--dead", "--byzantine", "--withhold",
         "--freerider", "--straggler", "--churn"};
-    f.dead_fraction = fraction(kBehaviorFlags[0]);
-    f.byzantine_fraction = fraction(kBehaviorFlags[1]);
-    f.withhold_fraction = fraction(kBehaviorFlags[2]);
-    f.freerider_fraction = fraction(kBehaviorFlags[3]);
-    f.straggler_fraction = fraction(kBehaviorFlags[4]);
-    f.churn_fraction = fraction(kBehaviorFlags[5]);
-    if (const int k = f.behavior_overflow(); k >= 0) {
-      args.reject(kBehaviorFlags[k]);
-    }
-    f.corrupt_rate = args.get_double("--corrupt-rate", f.corrupt_rate);
-    f.withhold_serve_cap = static_cast<std::uint32_t>(
-        args.get_int("--withhold-cap", f.withhold_serve_cap));
-    f.straggler_delay =
-        args.get_int("--straggler-delay-ms",
-                     f.straggler_delay / sim::kMillisecond) *
-        sim::kMillisecond;
-    f.churn_downtime = args.get_int("--churn-down-ms",
-                                    f.churn_downtime / sim::kMillisecond) *
-                       sim::kMillisecond;
-    f.builder.corrupt = args.has("--builder-corrupt");
-    f.builder.withhold_threshold = args.has("--builder-withhold");
-    f.partition_fraction = fraction("--partition");
-    f.partition_heal = args.get_int("--partition-heal-ms",
-                                    f.partition_heal / sim::kMillisecond) *
-                       sim::kMillisecond;
-    f.partition_offset = args.get_int("--partition-offset-ms",
-                                      f.partition_offset / sim::kMillisecond) *
-                         sim::kMillisecond;
-    f.flap_fraction = fraction("--flap");
-    f.flap_period = args.get_int("--flap-period-ms",
-                                 f.flap_period / sim::kMillisecond) *
-                    sim::kMillisecond;
-    f.flap_down =
-        args.get_int("--flap-down-ms", f.flap_down / sim::kMillisecond) *
-        sim::kMillisecond;
-    f.burst_fraction = fraction("--loss-burst");
-    f.ge_p_enter = args.get_double("--ge-p-enter", f.ge_p_enter);
-    f.ge_p_exit = args.get_double("--ge-p-exit", f.ge_p_exit);
-    f.ge_loss_bad = args.get_double("--ge-loss-bad", f.ge_loss_bad);
-    f.bw_collapse_fraction = fraction("--bw-collapse");
-    f.bw_factor = args.get_double("--bw-factor", f.bw_factor);
-    f.bw_offset =
-        args.get_int("--bw-offset-ms", f.bw_offset / sim::kMillisecond) *
-        sim::kMillisecond;
-    f.bw_duration =
-        args.get_int("--bw-duration-ms", f.bw_duration / sim::kMillisecond) *
-        sim::kMillisecond;
-    f.seed = static_cast<std::uint64_t>(args.get_int("--fault-seed", 0));
-    cli.verify_cells = !args.has("--no-verify");
-    cli.reputation = !args.has("--no-reputation");
-    cli.hedging = args.has("--hedged");
-    return cli;
+    flags.fraction(kBehaviorFlags[0], f.dead_fraction,
+                   "fail-silent node fraction (Fig 15a axis)");
+    flags.fraction(kBehaviorFlags[1], f.byzantine_fraction,
+                   "byzantine-corrupt node fraction");
+    flags.fraction(kBehaviorFlags[2], f.withhold_fraction,
+                   "selective-withholder fraction");
+    flags.fraction(kBehaviorFlags[3], f.freerider_fraction,
+                   "mute free-rider fraction");
+    flags.fraction(kBehaviorFlags[4], f.straggler_fraction,
+                   "straggler fraction");
+    flags.fraction(kBehaviorFlags[5], f.churn_fraction, "churner fraction");
+    flags.fraction("--corrupt-rate", f.corrupt_rate,
+                   "fraction of a byzantine peer's cells corrupted");
+    flags.add("--withhold-cap", f.withhold_serve_cap,
+              "cells a withholder serves per line before withholding");
+    flags.millis("--straggler-delay-ms", f.straggler_delay,
+                 "extra service delay per transmission");
+    flags.millis("--churn-down-ms", f.churn_downtime,
+                 "downtime per mid-slot departure");
+    flags.flag("--builder-corrupt", f.builder.corrupt,
+               "builder garbles its seed proof tags");
+    flags.flag("--builder-withhold", f.builder.withhold_threshold,
+               "builder withholds the decode-threshold column");
+    flags.flag("--no-verify", no_verify,
+               "skip proof-tag verification (accept corrupt cells)");
+    flags.flag("--no-reputation", no_reputation,
+               "disable peer reputation and greylisting");
+    flags.add("--fault-seed", f.seed, "adversary seed, 0 = the run seed");
+    flags.fraction("--partition", f.partition_fraction,
+                   "fraction split off the network each slot");
+    flags.millis("--partition-heal-ms", f.partition_heal,
+                 "partition window length");
+    flags.millis("--partition-offset-ms", f.partition_offset,
+                 "partition start after slot start");
+    flags.fraction("--flap", f.flap_fraction,
+                   "fraction whose link flaps (square wave)");
+    flags.millis("--flap-period-ms", f.flap_period, "flap period");
+    flags.millis("--flap-down-ms", f.flap_down, "down-time per flap period");
+    flags.fraction("--loss-burst", f.burst_fraction,
+                   "fraction with Gilbert-Elliott burst loss");
+    flags.fraction("--ge-p-enter", f.ge_p_enter, "P(good -> bad) per packet");
+    flags.fraction("--ge-p-exit", f.ge_p_exit, "P(bad -> good) per packet");
+    flags.fraction("--ge-loss-bad", f.ge_loss_bad,
+                   "per-packet loss in the bad state");
+    flags.fraction("--bw-collapse", f.bw_collapse_fraction,
+                   "fraction whose link rates collapse each slot");
+    flags.add("--bw-factor", f.bw_factor,
+              "link-rate multiplier while collapsed", 0.001, 1.0);
+    flags.millis("--bw-offset-ms", f.bw_offset,
+                 "collapse start after slot start");
+    flags.millis("--bw-duration-ms", f.bw_duration, "collapse length");
+    flags.flag("--hedged", hedging,
+               "RTO-driven hedged duplicate queries");
+    flags.then([this, &flags] {
+      if (const int k = faults.behavior_overflow(); k >= 0) {
+        flags.reject(kBehaviorFlags[k]);
+      }
+    });
   }
+  FaultCli(const FaultCli&) = delete;
+  FaultCli& operator=(const FaultCli&) = delete;
 
   /// Installs the parsed adversary + hardening switches on a run config.
   void apply(PandasConfig& cfg) const {
     cfg.faults = faults;
-    cfg.params.verify_cells = verify_cells;
-    cfg.params.reputation = reputation;
+    cfg.params.verify_cells = !no_verify;
+    cfg.params.reputation = !no_reputation;
     cfg.params.hedging = hedging;
   }
 

@@ -4,32 +4,12 @@
 #include <cstdlib>
 #include <string>
 
-#include "harness/args.h"
 #include "harness/experiment.h"
+#include "harness/flags.h"
 #include "harness/report.h"
 #include "harness/snapshot.h"
 
-/// Shared observability CLI surface wired into every bench binary:
-///   --trace-out FILE        Chrome trace-event JSON (chrome://tracing,
-///                           Perfetto)
-///   --trace-flows           add Perfetto flow arrows (seed / query / reply
-///                           causality) to the Chrome trace; also enables
-///                           causal collection
-///   --trace-sample-rate R   fraction of actors traced (default 1.0)
-///   --trace-ring N          per-actor ring capacity (0 = keep everything)
-///   --metrics-out FILE      metrics registry JSON dump (byte-deterministic
-///                           for a given seed)
-///   --metrics-wall          include wall-clock engine gauges in the dump
-///                           (opts out of byte-determinism)
-///   --records-out FILE      per-(node, slot) JSONL records
-///   --attribution-out FILE  per-(node, slot) deadline-attribution JSONL
-///                           (critical-path category breakdown, obs/
-///                           attribution.h); enables causal collection
-///   --json                  machine-readable snapshot(s) on stdout instead
-///                           of the human report
-///   --sim-threads N         engine shards for parallel execution, 1..64
-///                           (default 1 = serial engine; any N exports
-///                           byte-identical results, see docs/SIMULATION.md)
+/// Shared observability flags of every bench binary (`--help` lists them).
 ///
 /// Multi-configuration benches call finish() once per experiment with a
 /// config label: export filenames get ".<label>" inserted before the
@@ -42,49 +22,54 @@ struct ObsCli {
   std::string metrics_out;
   std::string records_out;
   std::string attribution_out;
-  double sample_rate = 1.0;
-  std::size_t ring = 0;
   bool json = false;
-  bool wall = false;
-  bool trace_flows = false;
   std::uint32_t sim_threads = 1;
+  /// The observability switches the flags select.
+  ObsConfig config;
 
-  [[nodiscard]] static ObsCli parse(const Args& args) {
-    ObsCli cli;
-    cli.trace_out = args.get_str("--trace-out", "");
-    cli.metrics_out = args.get_str("--metrics-out", "");
-    cli.records_out = args.get_str("--records-out", "");
-    cli.attribution_out = args.get_str("--attribution-out", "");
-    cli.sample_rate = args.get_double("--trace-sample-rate", 1.0);
-    cli.ring = static_cast<std::size_t>(args.get_int("--trace-ring", 0));
-    cli.json = args.has("--json");
-    cli.wall = args.has("--metrics-wall");
-    cli.trace_flows = args.has("--trace-flows");
-    cli.sim_threads = static_cast<std::uint32_t>(
-        args.get_int("--sim-threads", 1, 1, kMaxSimThreads));
+  /// Declares the observability flags into `flags`.
+  explicit ObsCli(Flags& flags) {
+    flags.path("--trace-out", trace_out,
+               "Chrome trace-event JSON (chrome://tracing, Perfetto)");
+    flags.flag("--trace-flows", config.trace_flows,
+               "add seed/query/reply flow arrows to the trace; enables "
+               "causal collection");
+    flags.fraction("--trace-sample-rate", config.trace.sample_rate,
+                   "fraction of actors traced");
+    flags.add("--trace-ring", config.trace.ring_capacity,
+              "per-actor trace ring capacity, 0 keeps every event");
+    flags.path("--metrics-out", metrics_out,
+               "metrics registry JSON (byte-deterministic for a seed)");
+    flags.flag("--metrics-wall", config.wall_metrics,
+               "add wall-clock engine gauges to the metrics (not "
+               "byte-deterministic)");
+    flags.path("--records-out", records_out, "per-(node, slot) JSONL records");
+    flags.path("--attribution-out", attribution_out,
+               "per-(node, slot) deadline-attribution JSONL; enables causal "
+               "collection");
+    flags.flag("--json", json,
+               "machine-readable snapshots on stdout instead of the report");
+    flags.add("--sim-threads", sim_threads,
+              "engine shards; any value exports byte-identical results",
+              std::uint32_t{1}, kMaxSimThreads);
     // Fail fast on unwritable export paths instead of after a full run. The
     // probe writes valid-but-empty exports: when every finish() call is
     // labeled, the unsuffixed path keeps this stub instead of garbage.
-    cli.finish_empty();
-    return cli;
+    flags.then([this] {
+      config.trace.enabled = !trace_out.empty();
+      config.metrics = !metrics_out.empty();
+      config.collect_records = !records_out.empty();
+      config.causal = config.trace_flows || !attribution_out.empty();
+      finish_empty();
+    });
   }
+  ObsCli(const ObsCli&) = delete;
+  ObsCli& operator=(const ObsCli&) = delete;
 
   /// Turns the requested exporters into harness observability switches.
   void apply(PandasConfig& cfg) const {
     cfg.net.sim_threads = sim_threads;
-    cfg.obs.trace.enabled = !trace_out.empty();
-    cfg.obs.trace.sample_rate = sample_rate;
-    cfg.obs.trace.ring_capacity = ring;
-    cfg.obs.metrics = !metrics_out.empty();
-    cfg.obs.wall_metrics = wall;
-    cfg.obs.collect_records = !records_out.empty();
-    cfg.obs.causal = trace_flows || !attribution_out.empty();
-    cfg.obs.trace_flows = trace_flows;
-  }
-
-  [[nodiscard]] bool any_export() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !records_out.empty() || !attribution_out.empty();
+    cfg.obs = config;
   }
 
   /// Writes the requested export files from a finished experiment. `label`
@@ -93,7 +78,8 @@ struct ObsCli {
   /// in human mode, the deadline-attribution table.
   void finish(PandasExperiment& ex, const std::string& label = "") const {
     write_file(labeled(trace_out, label), [&](std::FILE* f) {
-      ex.tracer().write_chrome_trace(f, trace_flows ? &ex.causal() : nullptr);
+      ex.tracer().write_chrome_trace(f, config.trace_flows ? &ex.causal()
+                                                          : nullptr);
     });
     write_file(labeled(metrics_out, label),
                [&](std::FILE* f) { ex.registry().write_json(f); });
@@ -125,10 +111,14 @@ struct ObsCli {
     write_file(attribution_out, [](std::FILE*) {});
   }
 
-  /// Emits one snapshot as a JSON line on stdout (JSONL across configs).
-  static void emit_json(const ResultsSnapshot& snap) {
-    snap.write_json(stdout);
-    std::fputc('\n', stdout);
+  /// Under --json, prints `snap` as one JSON line on stdout (JSONL across
+  /// configs) and returns true; otherwise the caller prints its report.
+  [[nodiscard]] bool emit_json(const ResultsSnapshot& snap) const {
+    if (json) {
+      snap.write_json(stdout);
+      std::fputc('\n', stdout);
+    }
+    return json;
   }
 
  private:

@@ -142,7 +142,12 @@ bool SimTransport::apply_loss(NodeIndex from, Message& msg,
   // the exact draw sequence chaos-off runs make.
   const bool bursty = !chaos_.empty() && chaos_[from].burst;
   if (cfg_.loss_rate <= 0.0 && !bursty) return true;
-  if (cfg_.reliable_seeding && std::holds_alternative<SeedMsg>(msg)) return true;
+  // Builder seed messages travel loss-free: the prototype seeds over libp2p
+  // streams, which are reliable, and the UDP loss applies to the
+  // peer-to-peer fetch exchanges. Otherwise the minimal policy (one copy of
+  // exactly the reconstruction threshold) would deadlock, whereas the paper
+  // reports it completing (§8.1).
+  if (std::holds_alternative<SeedMsg>(msg)) return true;
   util::Xoshiro256& rng = loss_rngs_[from];
   const std::size_t cells = carried_cells(msg);
   const std::uint32_t size = wire_size(msg);

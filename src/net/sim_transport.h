@@ -16,7 +16,8 @@
 ///  - propagation: one-way delay from the latency topology (RTT/2);
 ///  - serialization: per-node uplink/downlink capacity (25 Mbps for nodes,
 ///    10 Gbps for the builder) with store-and-forward queueing at both NICs;
-///  - loss: 3 % i.i.d. packet loss. Cell-carrying messages degrade by losing
+///  - loss: 3 % i.i.d. packet loss, except on builder seed messages, which
+///    travel over reliable streams. Cell-carrying messages degrade by losing
 ///    individual cell-sized fragments (each ~2 cells per 1.2 KB packet);
 ///    control messages are dropped wholesale;
 ///  - per-packet framing overhead added to byte counts;
@@ -30,12 +31,6 @@ struct SimTransportConfig {
   double node_down_bps = 25e6;
   /// Bytes of UDP/IP framing charged per packet.
   std::uint32_t per_packet_overhead = 28;
-  /// Builder seed messages travel loss-free (the prototype seeds over
-  /// libp2p streams, which are reliable; the 3 % UDP loss applies to the
-  /// peer-to-peer fetch exchanges). Without this, the minimal policy — one
-  /// copy of exactly the reconstruction threshold — would deadlock, whereas
-  /// the paper reports it completing (§8.1).
-  bool reliable_seeding = true;
 };
 
 /// Per-node link-state chaos profile (fault injection orthogonal to node
