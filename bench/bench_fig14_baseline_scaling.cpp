@@ -32,7 +32,7 @@ void print_row(std::uint32_t n, const char* system,
 int main(int argc, char** argv) {
   using namespace pandas;
   harness::Flags flags;
-  harness::RunCli run(flags, {.quick = true});
+  harness::RunCli run(flags, {});
   harness::ObsCli obs(flags);
   std::uint32_t max_nodes = 1000;
   flags.add("--max-nodes", max_nodes, "largest network size swept");

@@ -5,7 +5,7 @@
 // --parity — replays the identical slot (same directory, assignment table,
 // view, and seeding-plan RNG) through the lossless SimTransport twin and
 // checks the live backend against it: seed-cell delivery within
-// `delivery_tol`, sampling success within `success_tol`, and zero silent
+// `kDeliveryTol`, sampling success within `kSuccessTol`, and zero silent
 // drops (send/EMSGSIZE/decode failures). Tolerances are documented in
 // docs/UDP.md ("Sim-vs-live parity").
 //
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
       write_outcome_json(w, report.live);
       w.key("sim");
       write_outcome_json(w, report.sim);
-      w.kv("delivery_tol", report.delivery_tol);
-      w.kv("success_tol", report.success_tol);
+      w.kv("delivery_tol", ParityReport::kDeliveryTol);
+      w.kv("success_tol", ParityReport::kSuccessTol);
       w.kv("delivery_ok", report.delivery_ok());
       w.kv("success_ok", report.success_ok());
       w.kv("no_silent_drops", report.no_silent_drops());
@@ -103,17 +103,15 @@ int main(int argc, char** argv) {
     } else {
       print_outcome(report.sim);
       print_outcome(report.live);
-      harness::ResultsSnapshot snap;
-      snap.transport = report.live.transport;
-      harness::print_transport(snap);
+      harness::print_transport(report.live.transport);
       std::printf("  parity: delivery %s (%.4f vs %.4f x %.2f), success %s "
                   "(%.3f vs %.3f - %.2f), silent drops %s\n",
                   report.delivery_ok() ? "OK" : "FAIL",
                   report.live.seed_delivery_ratio(),
-                  report.sim.seed_delivery_ratio(), report.delivery_tol,
+                  report.sim.seed_delivery_ratio(), ParityReport::kDeliveryTol,
                   report.success_ok() ? "OK" : "FAIL",
                   report.live.sampling_success(),
-                  report.sim.sampling_success(), report.success_tol,
+                  report.sim.sampling_success(), ParityReport::kSuccessTol,
                   report.no_silent_drops() ? "none" : "DETECTED");
       std::printf("  verdict: %s\n", ok ? "PARITY OK" : "PARITY FAIL");
     }
@@ -127,9 +125,7 @@ int main(int argc, char** argv) {
       w.newline();
     } else {
       print_outcome(out);
-      harness::ResultsSnapshot snap;
-      snap.transport = out.transport;
-      harness::print_transport(snap);
+      harness::print_transport(out.transport);
       std::printf("  verdict: %s\n", ok ? "OK" : "FAIL");
     }
   }

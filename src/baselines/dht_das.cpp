@@ -28,11 +28,10 @@ std::vector<net::CellId> parcel_cells(const core::ProtocolParams& params,
 DhtDasBuilder::DhtDasBuilder(sim::Engine& engine, net::Transport& transport,
                              const net::Directory& directory,
                              net::NodeIndex self,
-                             const core::ProtocolParams& params,
-                             dht::KademliaConfig dht_cfg)
+                             const core::ProtocolParams& params)
     : engine_(engine), params_(params) {
-  dht_ = std::make_unique<dht::KademliaNode>(engine, transport, directory, self,
-                                             dht_cfg);
+  dht_ = std::make_unique<dht::KademliaNode>(engine, transport, directory,
+                                             self);
 }
 
 void DhtDasBuilder::seed_slot(std::uint64_t slot, std::uint32_t max_concurrent) {
@@ -70,15 +69,14 @@ void DhtDasBuilder::launch_next() {
 
 DhtDasNode::DhtDasNode(sim::Engine& engine, net::Transport& transport,
                        const net::Directory& directory, net::NodeIndex self,
-                       const core::ProtocolParams& params,
-                       dht::KademliaConfig dht_cfg)
+                       const core::ProtocolParams& params)
     : engine_(engine),
       params_(params),
       self_(self),
       sample_rng_(engine.rng_stream(0x64686173ULL ^
                                     (static_cast<std::uint64_t>(self) << 24))) {
-  dht_ = std::make_unique<dht::KademliaNode>(engine, transport, directory, self,
-                                             dht_cfg);
+  dht_ = std::make_unique<dht::KademliaNode>(engine, transport, directory,
+                                             self);
 }
 
 void DhtDasNode::begin_slot(std::uint64_t slot) {

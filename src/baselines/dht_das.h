@@ -14,11 +14,11 @@
 /// Kademlia-DHT-based DAS baseline (paper §8.1, [12]).
 ///
 /// Lines are linearized and split into parcels of 64 adjacent cells; the
-/// builder `put()`s every parcel at the `replication` closest peers to the
-/// parcel key (iterative multi-hop lookups + STOREs). Sampling nodes resolve
-/// each of their 73 random cells to its covering parcel and `get()` it from
-/// the DHT. No consolidation phase exists; nodes are responsible for the key
-/// ranges Kademlia assigns them.
+/// builder `put()`s every parcel at the 8 peers closest to the parcel key
+/// (Kademlia's replication; iterative multi-hop lookups + STOREs). Sampling
+/// nodes resolve each of their 73 random cells to its covering parcel and
+/// `get()` it from the DHT. No consolidation phase exists; nodes are
+/// responsible for the key ranges Kademlia assigns them.
 ///
 /// Parcelling covers each cell once (row-major), so the builder's egress at
 /// replication=8 equals PANDAS's redundant budget, as the paper prescribes
@@ -46,8 +46,7 @@ class DhtDasBuilder {
  public:
   DhtDasBuilder(sim::Engine& engine, net::Transport& transport,
                 const net::Directory& directory, net::NodeIndex self,
-                const core::ProtocolParams& params,
-                dht::KademliaConfig dht_cfg = {});
+                const core::ProtocolParams& params);
 
   [[nodiscard]] dht::KademliaNode& dht() noexcept { return *dht_; }
 
@@ -91,8 +90,7 @@ class DhtDasNode {
 
   DhtDasNode(sim::Engine& engine, net::Transport& transport,
              const net::Directory& directory, net::NodeIndex self,
-             const core::ProtocolParams& params,
-             dht::KademliaConfig dht_cfg = {});
+             const core::ProtocolParams& params);
 
   [[nodiscard]] dht::KademliaNode& dht() noexcept { return *dht_; }
 

@@ -40,16 +40,14 @@ std::vector<core::AssignedLines> unit_assignments(
 
 GossipDasNode::GossipDasNode(sim::Engine& engine, net::Transport& transport,
                              net::NodeIndex self,
-                             const core::ProtocolParams& params,
-                             gossip::GossipSubConfig gossip_cfg)
+                             const core::ProtocolParams& params)
     : engine_(engine),
       transport_(transport),
       self_(self),
       params_(params),
       sample_rng_(engine.rng_stream(0x67646173ULL ^
                                     (static_cast<std::uint64_t>(self) << 24))) {
-  gossip_ = std::make_unique<gossip::GossipSubNode>(engine, transport, self,
-                                                    gossip_cfg);
+  gossip_ = std::make_unique<gossip::GossipSubNode>(engine, transport, self);
   gossip_->set_delivery_callback(
       [this](net::NodeIndex from, const net::GossipDataMsg& msg) {
         on_unit_data(from, msg);

@@ -51,8 +51,7 @@ class GossipDasNode {
   };
 
   GossipDasNode(sim::Engine& engine, net::Transport& transport,
-                net::NodeIndex self, const core::ProtocolParams& params,
-                gossip::GossipSubConfig gossip_cfg = {});
+                net::NodeIndex self, const core::ProtocolParams& params);
 
   void configure(const core::AssignmentTable* table, const core::View* view,
                  std::uint32_t unit);

@@ -147,6 +147,13 @@ void FetchSet::uncover(net::CellId cell) noexcept {
 
 namespace {
 
+/// Score boost per boosted missing cell (§7: "overwhelming advantage").
+constexpr double kCbBoost = 10'000.0;
+
+/// Hedged duplicates per original query: after this many RTO expirations for
+/// the same slow peer within a cycle, further expiry only backs off.
+constexpr std::uint32_t kHedgeMaxPerQuery = 2;
+
 /// "Already considered" marks for gather_candidates, indexed by NodeIndex: a
 /// node is marked when its stamp equals the current epoch, so starting a
 /// gather costs O(1). A fetcher runs on one engine shard, hence one thread,
@@ -196,7 +203,7 @@ void AdaptiveFetcher::start(std::span<const net::CellId> needed,
                             net::BoostMap boost, SendQueryFn send) {
   if (started_) return;
   started_ = true;
-  fetch_deadline_ = engine_.now() + params_.deadline;
+  fetch_deadline_ = engine_.now() + sim::kAttestationDeadline;
   send_ = std::move(send);
   boost_ = std::move(boost);
   add_needed(needed);
@@ -346,7 +353,7 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
             static_cast<std::int64_t>(rtt_->rto(peer)));
 
   auto& hedges = hedges_for_[peer];
-  if (hedges >= params_.hedge_max_per_query) return;
+  if (hedges >= kHedgeMaxPerQuery) return;
   if (engine_.now() >= fetch_deadline_) return;
 
   // Cells the slow peer was asked for that are still missing.
@@ -361,7 +368,7 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
 
   // Degradation ladder, rungs 1+2: the normal candidate machinery — boost
   // recipients are gathered first and outscore plain custodians via
-  // cb_boost, so "scored direct peers → consolidation-boost peers" falls
+  // kCbBoost, so "scored direct peers → consolidation-boost peers" falls
   // out of the existing ranking.
   auto candidates = ranked_candidates(1);
   net::NodeIndex target = net::kInvalidNode;
@@ -484,7 +491,7 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
     cand.node = node;
     cand.score = static_cast<double>(interest);
 
-    // Consolidation-boost: +cb_boost per missing cell the builder declared
+    // Consolidation-boost: +kCbBoost per missing cell the builder declared
     // as seeded to this candidate (Algorithm 1, lines 7-9). The seeded cells
     // are also remembered so planning can target them precisely.
     for (const auto& lb : boost_) {
@@ -501,7 +508,7 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
                                   : net::CellId{pos, lb->line.index});
       }
     }
-    cand.score += params_.cb_boost * static_cast<double>(cand.seeded.size());
+    cand.score += kCbBoost * static_cast<double>(cand.seeded.size());
     // Reputation demotes the whole score (boost included): a boosted holder
     // that previously served garbage loses ties to clean fallback peers.
     if (reputation_ != nullptr) cand.score *= reputation_->weight(node);

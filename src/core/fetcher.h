@@ -28,7 +28,7 @@
 /// deadline nears.
 ///
 /// Each round: (1) SCORE candidate peers by how many cells of interest they
-/// are assigned, with an overwhelming bonus (cb_boost) per missing cell the
+/// are assigned, with an overwhelming bonus (kCbBoost) per missing cell the
 /// builder's consolidation-boost map says was seeded to them; (2) PLAN
 /// greedily, highest score first, until every missing cell is covered by
 /// k_i planned queries or candidates run out; (3) EXECUTE the queries
@@ -47,7 +47,7 @@
 /// consolidation-boost recipients (both via the normal candidate machinery,
 /// which ranks boost holders first) → a last-resort provider hook
 /// (DHT-discovered custodians). Hedges are capped by the remaining slot
-/// deadline and by hedge_max_per_query, back off exponentially (Karn), and
+/// deadline and by kHedgeMaxPerQuery, back off exponentially (Karn), and
 /// never double-charge reputation: the RTO expiry itself charges nothing —
 /// only the round deadline does, once, and a late reply redeems it once.
 namespace pandas::core {
@@ -351,7 +351,7 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   /// ---- RTT / hedging state (inert when rtt_ == nullptr) ----
   PeerRtt* rtt_ = nullptr;
   LastResortFn last_resort_;
-  sim::Time fetch_deadline_ = 0;  ///< start() time + params.deadline
+  sim::Time fetch_deadline_ = 0;  ///< start() time + sim::kAttestationDeadline
   /// Send time of each peer's outstanding query (RTT sample base).
   std::unordered_map<net::NodeIndex, sim::Time> query_sent_at_;
   /// Cells each peer's outstanding query asked for (hedge work list).

@@ -7,6 +7,17 @@
 
 namespace pandas::core {
 
+namespace {
+
+/// Consolidation fetches only what reconstruction needs: for a line holding h
+/// cells, the fetch set contains min(missing, ceil((k - h) *
+/// kFetchOverRequest)) cells. The margin (> 1) absorbs packet loss and
+/// unresponsive peers without requesting the whole line (a line completes by
+/// erasure decoding once any k cells are held, §6.2).
+constexpr double kFetchOverRequest = 1.1;
+
+}  // namespace
+
 PandasNode::PandasNode(sim::Engine& engine, net::Transport& transport,
                        net::NodeIndex self, const ProtocolParams& params)
     : engine_(engine),
@@ -14,9 +25,7 @@ PandasNode::PandasNode(sim::Engine& engine, net::Transport& transport,
       self_(self),
       params_(params),
       sample_rng_(engine.rng_stream(0x73616d70ULL ^
-                                    (static_cast<std::uint64_t>(self) << 24))),
-      reputation_(params_),
-      rtt_(params_.rto) {}
+                                    (static_cast<std::uint64_t>(self) << 24))) {}
 
 void PandasNode::begin_slot(std::uint64_t slot) {
   slot_ = slot;
@@ -126,7 +135,7 @@ void PandasNode::start_fetch(net::BoostMap boost) {
   // F = enough missing assigned cells to reconstruct every line, plus the
   // missing samples (consolidation and sampling run concurrently through one
   // fetcher, §6.2/§6.3). A line holding h cells needs only k - h more to
-  // decode; fetch_over_request adds margin for loss. Cells the boost map
+  // decode; kFetchOverRequest adds margin for loss. Cells the boost map
   // declares as seeded somewhere are preferred — they are servable now.
   std::vector<net::CellId> needed;
   const AssignedLines& lines = custody_.assignment();
@@ -135,7 +144,7 @@ void PandasNode::start_fetch(net::BoostMap boost) {
     const std::uint32_t held = custody_.line_count(line);
     const auto required = static_cast<std::uint32_t>(
         std::max(0.0, std::ceil((params_.matrix_k - static_cast<double>(held)) *
-                                params_.fetch_over_request)));
+                                kFetchOverRequest)));
 
     // Positions of this line covered by the boost map (seeded to peers).
     util::Bitmap512 boosted_pos;
@@ -198,7 +207,7 @@ void PandasNode::start_fetch(net::BoostMap boost) {
       const std::uint32_t deficit =
           params_.matrix_k > held ? params_.matrix_k - held : 0;
       const auto want = static_cast<std::uint32_t>(
-          std::ceil(deficit * params_.fetch_over_request));
+          std::ceil(deficit * kFetchOverRequest));
       const std::uint32_t have =
           fetcher_->outstanding_in_line(line);
 

@@ -108,9 +108,6 @@ class PandasNode {
   [[nodiscard]] const PeerReputation& reputation() const noexcept {
     return reputation_;
   }
-  /// Cross-slot per-peer RTO estimator (core/rtt.h); fed by fetch replies,
-  /// consumed by the fetcher's hedging when params.hedging is on.
-  [[nodiscard]] const PeerRtt& peer_rtt() const noexcept { return rtt_; }
   /// Topology RTT prior handed to fresh peer estimators. Must be a pure
   /// function of the peer index (callable from any engine shard).
   void set_rtt_prior(std::function<double(net::NodeIndex)> prior_ms) {

@@ -10,6 +10,9 @@
 /// the paper evaluates (§3, §5, §7).
 namespace pandas::core {
 
+/// Cap of the per-cell query redundancy k_i (redundancy_for_round()).
+inline constexpr std::uint32_t kMaxRedundancy = 10;
+
 struct ProtocolParams {
   /// Extended blob geometry: n x n cells, any k of a line reconstruct it.
   std::uint32_t matrix_k = 256;
@@ -29,7 +32,6 @@ struct ProtocolParams {
   /// normative text has it; k_i as redundancy_for_round() explains.
   sim::Time first_round_timeout = 400 * sim::kMillisecond;
   sim::Time min_round_timeout = 100 * sim::kMillisecond;
-  std::uint32_t max_redundancy = 10;
   /// Bounds the total effort of a slot, including FETCH re-invocations
   /// after candidate exhaustion (each cycle may query every peer once).
   /// Re-invocations start after a fresh first_round_timeout pause with
@@ -37,23 +39,10 @@ struct ProtocolParams {
   /// cells of a "later wave" only exist once earlier waves reconstruct.
   std::uint32_t max_rounds = 50;
 
-  /// Score boost per boosted missing cell (§7: "overwhelming advantage").
-  double cb_boost = 10'000.0;
-
-  /// Consolidation fetches only what reconstruction needs: for a line
-  /// holding h cells, the fetch set contains min(missing,
-  /// ceil((k - h) * fetch_over_request)) cells. The margin (> 1) absorbs
-  /// packet loss and unresponsive peers without requesting the whole line
-  /// (a line completes by erasure decoding once any k cells are held, §6.2).
-  double fetch_over_request = 1.1;
-
   /// Consolidation fallback timer: if a node is asked about a slot for which
   /// it has not yet received seed cells, it starts fetching after this delay
   /// (§6.2).
   sim::Time consolidation_fallback = 400 * sim::kMillisecond;
-
-  /// Attestation deadline (tight fork-choice rule).
-  sim::Time deadline = sim::kAttestationDeadline;
 
   /// Performance cap: candidate nodes examined per line of interest when
   /// scoring (0 = score the entire view, as the paper's pseudocode does;
@@ -76,12 +65,6 @@ struct ProtocolParams {
   /// by default so Fig 11 / Table 1 runs are byte-identical to the fixed
   /// schedule.
   bool hedging = false;
-  /// Estimator gains and RTO clamps shared by the fetcher, the retrieval
-  /// client, and (via KademliaConfig) the DHT baseline.
-  RtoParams rto = {};
-  /// Hedged duplicates per original query: after this many RTO expirations
-  /// for the same slow peer within a cycle, further expiry only backs off.
-  std::uint32_t hedge_max_per_query = 2;
 
   /// ---- Defensive hardening (§4.1's Byzantine peers) ----
 
@@ -93,22 +76,9 @@ struct ProtocolParams {
 
   /// Track per-peer reputation in the fetcher: corrupt replies and
   /// round-timeout silences demote a peer's candidate score; repeat
-  /// offenders are greylisted (skipped entirely) for a while.
+  /// offenders are greylisted (skipped entirely) for a while
+  /// (core/reputation.h).
   bool reputation = true;
-  /// Penalty added per message carrying at least one corrupt cell. At the
-  /// default threshold a single forged reply greylists the sender outright:
-  /// proof forgery is never an accident, so there is nothing to hedge.
-  double rep_corrupt_penalty = 8.0;
-  /// Penalty added when a queried peer lets a round deadline pass silently.
-  double rep_timeout_penalty = 0.5;
-  /// Penalty removed (floor 0) per useful reply.
-  double rep_success_credit = 0.5;
-  /// Candidate score multiplier is 1 / (1 + rep_weight_scale * penalty).
-  double rep_weight_scale = 0.25;
-  /// Accumulated penalty at which a peer is greylisted...
-  double rep_greylist_threshold = 8.0;
-  /// ...and for how long (penalty halves on expiry: forgiveness, not amnesty).
-  sim::Time rep_greylist_duration = 2 * sim::kSlotDuration;
 
   [[nodiscard]] sim::Time timeout_for_round(std::uint32_t round) const noexcept {
     if (!adaptive) return first_round_timeout;
@@ -121,12 +91,12 @@ struct ProtocolParams {
   /// queried from k_i distinct nodes in total by the end of round i, so each
   /// round adds k_i - k_{i-1} fresh queries per still-missing cell.
   ///
-  /// k_i = min(i, max_redundancy), per Fig 8 (k3=3, k4=4) — the schedule
+  /// k_i = min(i, kMaxRedundancy), per Fig 8 (k3=3, k4=4) — the schedule
   /// consistent with Table 1's per-round request counts (§7's prose sketches
   /// a steeper +2-per-round variant).
   [[nodiscard]] std::uint32_t redundancy_for_round(std::uint32_t round) const noexcept {
     if (!adaptive) return 1;
-    return round > max_redundancy ? max_redundancy : round;
+    return round > kMaxRedundancy ? kMaxRedundancy : round;
   }
 
   [[nodiscard]] std::uint32_t lines_total() const noexcept {

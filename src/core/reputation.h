@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "core/params.h"
 #include "net/messages.h"
 #include "sim/time.h"
 
@@ -15,32 +14,46 @@
 /// carrying corrupt cells, and (c) silence past a round deadline. This class
 /// folds those into a penalty score per peer:
 ///
-///   - corrupt reply:   +rep_corrupt_penalty   (strong: proof forgery is
-///                                              never an accident)
-///   - round timeout:   +rep_timeout_penalty   (weak: loss and overload also
-///                                              cause silence)
-///   - useful reply:    -rep_success_credit    (floor 0)
+///   - corrupt reply:   +kRepCorruptPenalty   (strong: proof forgery is
+///                                             never an accident)
+///   - round timeout:   +kRepTimeoutPenalty   (weak: loss and overload also
+///                                             cause silence)
+///   - useful reply:    -kRepSuccessCredit    (floor 0)
 ///
 /// The fetcher multiplies a candidate's score by
-/// `1 / (1 + rep_weight_scale * penalty)`, so demoted peers lose ties
+/// `1 / (1 + kRepWeightScale * penalty)`, so demoted peers lose ties
 /// against clean ones but remain reachable when they are the only holders.
-/// Once the penalty reaches `rep_greylist_threshold` the peer is greylisted:
-/// skipped entirely for `rep_greylist_duration`, after which the penalty is
+/// Once the penalty reaches `kRepGreylistThreshold` the peer is greylisted:
+/// skipped entirely for `kRepGreylistDuration`, after which the penalty is
 /// halved (repeat offenders re-greylist quickly, transient victims recover).
 ///
 /// State persists across slots — that is the point: an adversary that burned
 /// a requester in slot s is deprioritized in slot s+1.
 namespace pandas::core {
 
+/// Penalty added per message carrying at least one corrupt cell. At the
+/// greylist threshold a single forged reply greylists the sender outright:
+/// proof forgery is never an accident, so there is nothing to hedge.
+inline constexpr double kRepCorruptPenalty = 8.0;
+/// Penalty added when a queried peer lets a round deadline pass silently.
+inline constexpr double kRepTimeoutPenalty = 0.5;
+/// Penalty removed (floor 0) per useful reply.
+inline constexpr double kRepSuccessCredit = 0.5;
+/// Candidate score multiplier is 1 / (1 + kRepWeightScale * penalty).
+inline constexpr double kRepWeightScale = 0.25;
+/// Accumulated penalty at which a peer is greylisted...
+inline constexpr double kRepGreylistThreshold = 8.0;
+/// ...and for how long (penalty halves on expiry: forgiveness, not amnesty).
+inline constexpr sim::Time kRepGreylistDuration = 2 * sim::kSlotDuration;
+
 class PeerReputation {
  public:
-  explicit PeerReputation(const ProtocolParams& params) : params_(&params) {}
 
   /// Records a reply with at least one corrupt cell. Returns true if this
   /// event newly greylisted the peer (callers emit the trace event).
   bool record_corrupt(net::NodeIndex peer, sim::Time now) {
     ++corrupt_events_;
-    return penalize(peer, params_->rep_corrupt_penalty, now);
+    return penalize(peer, kRepCorruptPenalty, now);
   }
 
   /// Records a round deadline passing with no reply from a queried peer.
@@ -48,14 +61,14 @@ class PeerReputation {
   bool record_timeout(net::NodeIndex peer, sim::Time now) {
     ++timeout_events_;
     ++peers_[peer].charged_timeouts;
-    return penalize(peer, params_->rep_timeout_penalty, now);
+    return penalize(peer, kRepTimeoutPenalty, now);
   }
 
   /// Records a useful (verified, non-empty) reply.
   void record_success(net::NodeIndex peer) {
     auto it = peers_.find(peer);
     if (it == peers_.end()) return;
-    it->second.penalty -= params_->rep_success_credit;
+    it->second.penalty -= kRepSuccessCredit;
     if (it->second.penalty < 0.0) it->second.penalty = 0.0;
   }
 
@@ -66,7 +79,7 @@ class PeerReputation {
     auto it = peers_.find(peer);
     if (it == peers_.end() || it->second.charged_timeouts == 0) return;
     --it->second.charged_timeouts;
-    it->second.penalty -= params_->rep_timeout_penalty;
+    it->second.penalty -= kRepTimeoutPenalty;
     if (it->second.penalty < 0.0) it->second.penalty = 0.0;
   }
 
@@ -87,7 +100,7 @@ class PeerReputation {
   [[nodiscard]] double weight(net::NodeIndex peer) const {
     const auto it = peers_.find(peer);
     if (it == peers_.end()) return 1.0;
-    return 1.0 / (1.0 + params_->rep_weight_scale * it->second.penalty);
+    return 1.0 / (1.0 + kRepWeightScale * it->second.penalty);
   }
 
   [[nodiscard]] double penalty(net::NodeIndex peer) const {
@@ -118,15 +131,14 @@ class PeerReputation {
   bool penalize(net::NodeIndex peer, double amount, sim::Time now) {
     Entry& e = peers_[peer];
     e.penalty += amount;
-    if (e.greylisted_until == 0 && e.penalty >= params_->rep_greylist_threshold) {
-      e.greylisted_until = now + params_->rep_greylist_duration;
+    if (e.greylisted_until == 0 && e.penalty >= kRepGreylistThreshold) {
+      e.greylisted_until = now + kRepGreylistDuration;
       ++greylist_events_;
       return true;
     }
     return false;
   }
 
-  const ProtocolParams* params_;
   std::unordered_map<net::NodeIndex, Entry> peers_;
   std::uint64_t greylist_events_ = 0;
   std::uint64_t corrupt_events_ = 0;

@@ -11,10 +11,8 @@
 /// (Jacobson/Karels, RFC 6298 flavour).
 ///
 /// The paper's fixed 400/200/100 ms round schedule hands a near peer (8 ms
-/// RTT) and a tail peer (438 ms) the same timeout; everything deadline-aware
-/// in this repo (AdaptiveFetcher hedging, RetrievalClient retry pacing,
-/// dht::Kademlia per-RPC timeouts) instead derives its timers from this
-/// estimator:
+/// RTT) and a tail peer (438 ms) the same timeout; AdaptiveFetcher hedging
+/// instead derives its timers from this estimator:
 ///
 ///   SRTT   <- (1-a) SRTT + a R'          (a = 1/8)
 ///   RTTVAR <- (1-b) RTTVAR + b |SRTT-R'| (b = 1/4)
@@ -26,9 +24,8 @@
 /// exponential backoff here, and any valid sample collapses it again.
 ///
 /// Estimators are seeded from a prior (the harness wires the topology's
-/// pairwise RTT; header-only so dht/ can use it without a core link edge);
-/// before any prior or sample, `initial_rto` applies — conservative by
-/// design, matching the schedules the estimator replaces.
+/// pairwise RTT); before any prior or sample, `initial_rto` applies —
+/// conservative by design, matching the schedules the estimator replaces.
 namespace pandas::core {
 
 struct RtoParams {

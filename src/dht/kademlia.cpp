@@ -7,17 +7,11 @@ namespace pandas::dht {
 
 namespace {
 constexpr std::uint32_t kNodesPerReply = 16;
-
-/// The estimator's clamp range mirrors the config: never slower than the
-/// classic fixed rpc_timeout, never tighter than min_rpc_timeout.
-core::RtoParams rto_params_of(const KademliaConfig& cfg) {
-  core::RtoParams p;
-  p.initial_rto = cfg.rpc_timeout;
-  p.max_rto = cfg.rpc_timeout;
-  p.min_rto = cfg.min_rpc_timeout;
-  return p;
-}
-
+constexpr std::uint32_t kBucketSize = 16;  ///< k
+constexpr std::uint32_t kAlpha = 3;        ///< lookup parallelism
+constexpr std::uint32_t kReplication = 8;  ///< STORE copies (paper baseline: 8)
+constexpr sim::Time kRpcTimeout = 400 * sim::kMillisecond;
+constexpr std::uint32_t kMaxRounds = 24;   ///< iterative lookup round cap
 }  // namespace
 
 struct KademliaNode::Lookup {
@@ -36,15 +30,12 @@ struct KademliaNode::Lookup {
 };
 
 KademliaNode::KademliaNode(sim::Engine& engine, net::Transport& transport,
-                           const net::Directory& directory, net::NodeIndex self,
-                           KademliaConfig cfg)
+                           const net::Directory& directory, net::NodeIndex self)
     : engine_(engine),
       transport_(transport),
       directory_(directory),
       self_(self),
-      cfg_(cfg),
-      table_(directory, self, cfg.bucket_size),
-      rtt_(rto_params_of(cfg)) {}
+      table_(directory, self, kBucketSize) {}
 
 void KademliaNode::bootstrap(const std::vector<net::NodeIndex>& contacts) {
   for (const auto c : contacts) table_.observe(c);
@@ -97,31 +88,21 @@ bool KademliaNode::handle(net::NodeIndex from, net::Message& msg) {
     pending_.erase(it);
     if (!rpc->done) {
       rpc->done = true;
-      // Every rpc_id is sent exactly once, so there is no Karn ambiguity:
-      // every first reply is a valid RTT sample.
-      if (cfg_.adaptive_timeout && rpc->target != net::kInvalidNode) {
-        rtt_.sample(rpc->target, engine_.now() - rpc->sent_at);
-      }
       if (rpc->on_reply) rpc->on_reply(from, msg);
     }
   }
   return true;
 }
 
-void KademliaNode::arm_rpc_timeout(std::uint64_t rpc_id, net::NodeIndex target) {
-  const sim::Time timeout =
-      cfg_.adaptive_timeout ? rtt_.rto(target) : cfg_.rpc_timeout;
+void KademliaNode::arm_rpc_timeout(std::uint64_t rpc_id) {
   engine_.schedule_in_as(
-      sim::Engine::lane_of_actor(self_), timeout, [this, rpc_id]() {
+      sim::Engine::lane_of_actor(self_), kRpcTimeout, [this, rpc_id]() {
         const auto it = pending_.find(rpc_id);
         if (it == pending_.end()) return;
         auto r = it->second;
         pending_.erase(it);
         if (!r->done) {
           r->done = true;
-          if (cfg_.adaptive_timeout && r->target != net::kInvalidNode) {
-            rtt_.timeout(r->target);  // exponential backoff (Karn's rule)
-          }
           if (r->on_timeout) r->on_timeout();
         }
       });
@@ -152,7 +133,7 @@ void KademliaNode::store(const crypto::NodeId& key, std::vector<net::CellId> cel
       if (done) done(false, 0);
       return;
     }
-    if (closest.size() > cfg_.replication) closest.resize(cfg_.replication);
+    if (closest.size() > kReplication) closest.resize(kReplication);
     auto acks = std::make_shared<std::uint32_t>(0);
     auto outstanding = std::make_shared<std::uint32_t>(
         static_cast<std::uint32_t>(closest.size()));
@@ -169,10 +150,8 @@ void KademliaNode::store(const crypto::NodeId& key, std::vector<net::CellId> cel
       };
       rpc->on_reply = [complete](net::NodeIndex, net::Message&) { complete(true); };
       rpc->on_timeout = [complete]() { complete(false); };
-      rpc->target = target;
-      rpc->sent_at = engine_.now();
       pending_[msg.rpc_id] = rpc;
-      arm_rpc_timeout(msg.rpc_id, target);
+      arm_rpc_timeout(msg.rpc_id);
       transport_.send(self_, target, std::move(msg));
     }
   });
@@ -186,7 +165,7 @@ void KademliaNode::start_lookup(const crypto::NodeId& target, bool want_value,
   lk->want_value = want_value;
   lk->node_done = std::move(node_done);
   lk->value_done = std::move(value_done);
-  lk->shortlist = table_.closest(target, cfg_.bucket_size);
+  lk->shortlist = table_.closest(target, kBucketSize);
   if (lk->shortlist.empty()) {
     finish_lookup(lk);
     return;
@@ -196,7 +175,7 @@ void KademliaNode::start_lookup(const crypto::NodeId& target, bool want_value,
 
 void KademliaNode::lookup_step(const std::shared_ptr<Lookup>& lk) {
   if (lk->finished) return;
-  if (lk->rounds >= cfg_.max_rounds) {
+  if (lk->rounds >= kMaxRounds) {
     finish_lookup(lk);
     return;
   }
@@ -205,7 +184,7 @@ void KademliaNode::lookup_step(const std::shared_ptr<Lookup>& lk) {
   // Query up to alpha closest not-yet-queried candidates.
   std::uint32_t launched = 0;
   for (const auto candidate : lk->shortlist) {
-    if (launched >= cfg_.alpha) break;
+    if (launched >= kAlpha) break;
     if (lk->queried.count(candidate) != 0) continue;
     lk->queried.insert(candidate);
     ++launched;
@@ -237,10 +216,8 @@ void KademliaNode::lookup_step(const std::shared_ptr<Lookup>& lk) {
       --lk->in_flight;
       if (lk->in_flight == 0) lookup_step(lk);
     };
-    rpc->target = candidate;
-    rpc->sent_at = engine_.now();
     pending_[rpc_id] = rpc;
-    arm_rpc_timeout(rpc_id, candidate);
+    arm_rpc_timeout(rpc_id);
 
     if (lk->want_value) {
       net::DhtFindValueMsg msg;
@@ -281,8 +258,8 @@ void KademliaNode::on_lookup_reply(const std::shared_ptr<Lookup>& lk,
                 return directory_.id_of(a).closer_to(lk->target,
                                                      directory_.id_of(b));
               });
-    if (lk->shortlist.size() > 3 * cfg_.bucket_size) {
-      lk->shortlist.resize(3 * cfg_.bucket_size);
+    if (lk->shortlist.size() > 3 * kBucketSize) {
+      lk->shortlist.resize(3 * kBucketSize);
     }
   }
 
@@ -291,7 +268,7 @@ void KademliaNode::on_lookup_reply(const std::shared_ptr<Lookup>& lk,
   bool all_queried = true;
   std::uint32_t considered = 0;
   for (const auto n : lk->shortlist) {
-    if (considered++ >= cfg_.bucket_size) break;
+    if (considered++ >= kBucketSize) break;
     if (lk->queried.count(n) == 0) {
       all_queried = false;
       break;
@@ -317,7 +294,7 @@ void KademliaNode::finish_lookup(const std::shared_ptr<Lookup>& lk) {
             [&](net::NodeIndex a, net::NodeIndex b) {
               return directory_.id_of(a).closer_to(lk->target, directory_.id_of(b));
             });
-  if (closest.size() > cfg_.bucket_size) closest.resize(cfg_.bucket_size);
+  if (closest.size() > kBucketSize) closest.resize(kBucketSize);
   if (lk->node_done) lk->node_done(std::move(closest));
 }
 

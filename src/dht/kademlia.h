@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rtt.h"
 #include "dht/routing_table.h"
 #include "net/directory.h"
 #include "net/transport.h"
@@ -22,21 +21,6 @@
 /// discovery DHT when examples need explicit ENR lookups.
 namespace pandas::dht {
 
-struct KademliaConfig {
-  std::uint32_t bucket_size = 16;   ///< k
-  std::uint32_t alpha = 3;          ///< lookup parallelism
-  std::uint32_t replication = 8;    ///< STORE copies (paper baseline: 8)
-  sim::Time rpc_timeout = 400 * sim::kMillisecond;
-  std::uint32_t max_rounds = 24;    ///< iterative lookup round cap
-  /// Per-peer adaptive RPC timeouts via the shared Jacobson/Karels RTO
-  /// estimator (core/rtt.h): observed reply times tighten each target's
-  /// timeout between min_rpc_timeout and rpc_timeout (which stays the
-  /// fallback for never-sampled peers). Off by default so the paper's
-  /// DHT baseline numbers are untouched.
-  bool adaptive_timeout = false;
-  sim::Time min_rpc_timeout = 25 * sim::kMillisecond;
-};
-
 class KademliaNode {
  public:
   using StoreCallback = std::function<void(bool ok, std::uint32_t acks)>;
@@ -45,8 +29,7 @@ class KademliaNode {
   using LookupCallback = std::function<void(std::vector<net::NodeIndex> closest)>;
 
   KademliaNode(sim::Engine& engine, net::Transport& transport,
-               const net::Directory& directory, net::NodeIndex self,
-               KademliaConfig cfg = {});
+               const net::Directory& directory, net::NodeIndex self);
 
   /// Seeds the routing table. Passing every node of the network yields the
   /// steady-state table of a long-running deployment (buckets keep at most
@@ -60,7 +43,7 @@ class KademliaNode {
   /// Iterative FIND_NODE: converges on the k closest nodes to `target`.
   void lookup(const crypto::NodeId& target, LookupCallback done);
 
-  /// Stores `cells` under `key` at the `replication` closest nodes.
+  /// Stores `cells` under `key` at the kReplication closest nodes.
   void store(const crypto::NodeId& key, std::vector<net::CellId> cells,
              StoreCallback done);
 
@@ -80,14 +63,6 @@ class KademliaNode {
     return storage_;
   }
 
-  /// Per-target RTO estimators (meaningful with cfg.adaptive_timeout).
-  [[nodiscard]] const core::PeerRtt& peer_rtt() const noexcept { return rtt_; }
-  /// Topology RTT prior for fresh estimators; must be a pure function of
-  /// the peer index (core/rtt.h).
-  void set_rtt_prior(std::function<double(net::NodeIndex)> prior_ms) {
-    rtt_.set_prior(std::move(prior_ms));
-  }
-
  private:
   struct Lookup;
 
@@ -104,26 +79,21 @@ class KademliaNode {
   net::Transport& transport_;
   const net::Directory& directory_;
   net::NodeIndex self_;
-  KademliaConfig cfg_;
   RoutingTable table_;
 
   std::map<crypto::NodeId, std::vector<net::CellId>> storage_;
 
-  /// Arms the RPC timeout for `rpc_id` aimed at `target`: the shared RTO
-  /// when adaptive, the fixed cfg_.rpc_timeout otherwise.
-  void arm_rpc_timeout(std::uint64_t rpc_id, net::NodeIndex target);
+  /// Arms the fixed RPC timeout for `rpc_id`.
+  void arm_rpc_timeout(std::uint64_t rpc_id);
 
   // rpc_id -> continuation invoked on matching reply (or dropped on timeout)
   struct PendingRpc {
     std::function<void(net::NodeIndex from, net::Message& reply)> on_reply;
     std::function<void()> on_timeout;
-    net::NodeIndex target = net::kInvalidNode;
-    sim::Time sent_at = 0;
     bool done = false;
   };
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingRpc>> pending_;
   std::uint64_t rpc_counter_ = 1;
-  core::PeerRtt rtt_;
 };
 
 }  // namespace pandas::dht

@@ -4,6 +4,15 @@
 
 namespace pandas::gossip {
 
+namespace {
+
+constexpr std::uint32_t kGossipDegree = 6;   ///< IHAVE targets per heartbeat
+constexpr sim::Time kHeartbeatInterval = sim::kSecond;
+constexpr std::uint32_t kHistoryGossip = 3;  ///< windows advertised in IHAVE
+constexpr std::uint32_t kHistoryLength = 5;  ///< windows in the message cache
+
+}  // namespace
+
 GossipSubNode::GossipSubNode(sim::Engine& engine, net::Transport& transport,
                              net::NodeIndex self, GossipSubConfig cfg)
     : engine_(engine),
@@ -119,7 +128,7 @@ void GossipSubNode::start_heartbeat() {
   history_.emplace_back();
   // Desynchronize heartbeats across nodes.
   const sim::Time offset = static_cast<sim::Time>(
-      rng_.uniform(static_cast<std::uint64_t>(cfg_.heartbeat_interval)));
+      rng_.uniform(static_cast<std::uint64_t>(kHeartbeatInterval)));
   engine_.schedule_in_as(sim::Engine::lane_of_actor(self_), offset, [this]() { heartbeat(); });
 }
 
@@ -154,7 +163,7 @@ void GossipSubNode::heartbeat() {
     // Lazy gossip: IHAVE for recent windows to non-mesh topic peers.
     std::vector<std::uint64_t> recent;
     const std::size_t windows =
-        std::min<std::size_t>(history_.size(), cfg_.history_gossip);
+        std::min<std::size_t>(history_.size(), kHistoryGossip);
     for (std::size_t w = history_.size() - windows; w < history_.size(); ++w) {
       for (const auto id : history_[w]) {
         const auto it = mcache_.find(id);
@@ -169,7 +178,7 @@ void GossipSubNode::heartbeat() {
         if (st.mesh.count(p) == 0) targets.push_back(p);
       }
       rng_.shuffle(targets);
-      if (targets.size() > cfg_.gossip_degree) targets.resize(cfg_.gossip_degree);
+      if (targets.size() > kGossipDegree) targets.resize(kGossipDegree);
       for (const auto t : targets) {
         net::GossipIHaveMsg ihave;
         ihave.topic = topic;
@@ -181,12 +190,13 @@ void GossipSubNode::heartbeat() {
 
   // Shift the message-cache history window.
   history_.emplace_back();
-  while (history_.size() > cfg_.history_length) {
+  while (history_.size() > kHistoryLength) {
     for (const auto id : history_.front()) mcache_.erase(id);
     history_.pop_front();
   }
 
-  engine_.schedule_in_as(sim::Engine::lane_of_actor(self_), cfg_.heartbeat_interval, [this]() { heartbeat(); });
+  engine_.schedule_in_as(sim::Engine::lane_of_actor(self_), kHeartbeatInterval,
+                         [this]() { heartbeat(); });
 }
 
 const std::set<net::NodeIndex>& GossipSubNode::mesh(std::uint64_t topic) const {

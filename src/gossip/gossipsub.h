@@ -28,10 +28,6 @@ struct GossipSubConfig {
   std::uint32_t mesh_degree = 8;   ///< D — target mesh size (paper: 8)
   std::uint32_t mesh_low = 6;      ///< D_low
   std::uint32_t mesh_high = 12;    ///< D_high
-  std::uint32_t gossip_degree = 6; ///< IHAVE targets per heartbeat
-  sim::Time heartbeat_interval = sim::kSecond;
-  std::uint32_t history_gossip = 3;  ///< windows advertised in IHAVE
-  std::uint32_t history_length = 5;  ///< windows kept in the message cache
 };
 
 class GossipSubNode {

@@ -6,6 +6,18 @@ namespace pandas::harness {
 
 namespace {
 
+/// Copies of each custody unit the builder injects into the unit channel.
+/// Each unit covers its lines' cells (every cell appears in one row unit and
+/// one column unit), so `copies = r/2` matches the egress of PANDAS's
+/// redundant(r) policy; 4 matches redundant(8).
+constexpr std::size_t kBuilderCopies = 4;
+
+/// DHT-DAS bootstraps every routing table with the complete node set when
+/// N <= this; otherwise each node seeds its table with a random sample plus
+/// its id-space neighbours (keeps setup tractable at 10k+ nodes without
+/// changing lookup shape).
+constexpr std::uint32_t kFullBootstrapLimit = 4096;
+
 /// Folds one slot of node records into `out`: custody time (for node types
 /// that track it), sampling time or a miss, and each node's transport
 /// messages and bytes (sent + received) since the `before` snapshot.
@@ -67,8 +79,7 @@ void GossipDasExperiment::setup() {
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto node = std::make_unique<baselines::GossipDasNode>(
-        net_.engine().engine_for(i), net_.transport(), i, cfg_.params,
-        cfg_.gossip);
+        net_.engine().engine_for(i), net_.transport(), i, cfg_.params);
     node->configure(assignment_.get(), &full_view_, unit_of_[i]);
     nodes_.push_back(std::move(node));
   }
@@ -111,7 +122,7 @@ void GossipDasExperiment::run_slot(std::uint64_t slot, BaselineResults& out) {
   std::vector<net::TrafficStats> before(n);
   for (std::uint32_t i = 0; i < n; ++i) before[i] = transport.stats(i);
 
-  // Builder: inject `builder_copies` copies of each unit's cells into the
+  // Builder: inject `kBuilderCopies` copies of each unit's cells into the
   // unit channel; in-channel gossip takes it from there.
   std::vector<std::vector<net::NodeIndex>> channel(units);
   for (std::uint32_t i = 0; i < n; ++i) channel[unit_of_[i]].push_back(i);
@@ -134,7 +145,7 @@ void GossipDasExperiment::run_slot(std::uint64_t slot, BaselineResults& out) {
     std::vector<net::NodeIndex> members = channel[u];
     harness_rng_.shuffle(members);
     const auto copies =
-        std::min<std::size_t>(cfg_.builder_copies, members.size());
+        std::min<std::size_t>(kBuilderCopies, members.size());
     for (std::size_t c = 0; c < copies; ++c) {
       transport.send(net_.builder_index(), members[c], msg);
     }
@@ -171,16 +182,15 @@ void DhtDasExperiment::setup() {
   nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<baselines::DhtDasNode>(
-        engine.engine_for(i), transport, directory_, i, cfg_.params,
-        cfg_.dht));
+        engine.engine_for(i), transport, directory_, i, cfg_.params));
   }
   builder_ = std::make_unique<baselines::DhtDasBuilder>(
       engine.engine_for(builder_index), transport, directory_, builder_index,
-      cfg_.params, cfg_.dht);
+      cfg_.params);
 
   // Routing-table bootstrap: the steady state of a long-running network.
   const std::uint32_t total = n + 1;
-  if (total <= cfg_.full_bootstrap_limit) {
+  if (total <= kFullBootstrapLimit) {
     std::vector<net::NodeIndex> all(total);
     for (std::uint32_t i = 0; i < total; ++i) all[i] = i;
     for (std::uint32_t i = 0; i < n; ++i) nodes_[i]->dht().bootstrap(all);

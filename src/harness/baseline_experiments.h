@@ -33,12 +33,6 @@ struct GossipDasConfig {
   NetworkConfig net{};
   core::ProtocolParams params{};
   std::uint32_t slots = 10;
-  /// Copies of each custody unit the builder injects into the unit channel.
-  /// Each unit covers its lines' cells (every cell appears in one row unit
-  /// and one column unit), so `copies = r/2` matches the egress of PANDAS's
-  /// redundant(r) policy; the default matches redundant(8).
-  std::uint32_t builder_copies = 4;
-  gossip::GossipSubConfig gossip{};
 };
 
 class GossipDasExperiment {
@@ -71,11 +65,6 @@ struct DhtDasConfig {
   NetworkConfig net{};
   core::ProtocolParams params{};
   std::uint32_t slots = 10;
-  dht::KademliaConfig dht{};
-  /// Bootstrap with the complete node set when N <= this; otherwise each
-  /// node seeds its table with a random sample plus its id-space neighbours
-  /// (keeps setup tractable at 10k+ nodes without changing lookup shape).
-  std::uint32_t full_bootstrap_limit = 4096;
 };
 
 class DhtDasExperiment {

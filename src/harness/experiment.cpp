@@ -33,7 +33,7 @@ SimNetwork::SimNetwork(const NetworkConfig& cfg,
   const auto best = topology_.best_vertices(kBuilderBestFraction);
   builder_index_ =
       transport_.add_node(best[placement_rng.uniform(best.size())],
-                          cfg.builder_up_bps, cfg.builder_down_bps);
+                          net::kBuilderLinkBps, net::kBuilderLinkBps);
 }
 
 PandasExperiment::PandasExperiment(PandasConfig cfg)

@@ -32,9 +32,7 @@ struct NetworkConfig {
   std::uint32_t nodes = 1000;
   std::uint64_t seed = 42;
   sim::TopologyConfig topology{};        // defaults: 10,000 vertices
-  net::SimTransportConfig transport{};   // defaults: 3% loss, 25 Mbps nodes
-  double builder_up_bps = 10e9;          // medium cloud instance (§4.1)
-  double builder_down_bps = 10e9;
+  net::SimTransportConfig transport{};   // defaults: 3% loss
   /// Worker shards for the parallel engine (--sim-threads). 1 (default) runs
   /// the classic serial engine; any value produces byte-identical exports
   /// (docs/SIMULATION.md "Parallel execution").
@@ -119,7 +117,7 @@ struct PandasConfig {
   /// Run the block-dissemination GossipSub channel alongside (Fig 9a).
   bool block_gossip = true;
   /// Simulated time between slot starts; phases must finish well within it.
-  sim::Time slot_duration = sim::kSlotDuration;
+  static constexpr sim::Time slot_duration = sim::kSlotDuration;
   ObsConfig obs{};
 };
 

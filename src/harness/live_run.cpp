@@ -18,6 +18,9 @@ namespace pandas::harness {
 
 namespace {
 
+/// The slot both twins run, seeded with the redundant(4) policy.
+constexpr std::uint64_t kSlot = 1;
+
 /// Identical protocol wiring for both backends: same directory-derived
 /// assignment, same full view, and the same plan/dispatch RNG seed, so the
 /// builder's per-node cell plan is byte-for-byte the twin's plan.
@@ -53,11 +56,11 @@ SlotOutcome run_slot(const LiveRunConfig& cfg, const SlotFixture& fix,
   }
   core::Builder builder(engine, transport, builder_index, cfg.params);
 
-  for (auto& node : nodes) node->begin_slot(cfg.slot);
+  for (auto& node : nodes) node->begin_slot(kSlot);
   util::Xoshiro256 rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
-  const auto plan =
-      core::plan_seeding(cfg.params, fix.table, fix.view, cfg.policy, rng);
-  builder.seed(cfg.slot, fix.table, fix.view, plan, rng);
+  const auto plan = core::plan_seeding(cfg.params, fix.table, fix.view,
+                                       core::SeedingPolicy::redundant(4), rng);
+  builder.seed(kSlot, fix.table, fix.view, plan, rng);
 
   run();
 
@@ -126,7 +129,7 @@ SlotOutcome run_sim_slot(const LiveRunConfig& cfg) {
     (void)transport.add_node(i);
   }
   const auto builder_index =
-      transport.add_node(cfg.nodes, /*up_bps=*/10e9, /*down_bps=*/10e9);
+      transport.add_node(cfg.nodes, net::kBuilderLinkBps, net::kBuilderLinkBps);
 
   auto out = run_slot(cfg, fix, engine, transport, builder_index, [&] {
     // Virtual time is free: run far past the realtime budget so the sim twin

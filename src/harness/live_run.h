@@ -24,9 +24,7 @@ namespace pandas::harness {
 struct LiveRunConfig {
   std::uint32_t nodes = 200;
   std::uint64_t seed = 42;
-  std::uint64_t slot = 1;
   core::ProtocolParams params{};
-  core::SeedingPolicy policy = core::SeedingPolicy::redundant(4);
   /// Wall-clock budget for the live slot (realtime engine run).
   sim::Time run_for = 3 * sim::kSecond;
 
@@ -53,18 +51,12 @@ struct SlotOutcome {
   std::uint64_t send_failures = 0;
   std::uint64_t emsgsize_failures = 0;
   std::uint64_t decode_failures = 0;
-  /// Filled by the live run (empty/default for sim): the snapshot block that
-  /// report.h renders and write_json exports.
+  /// Filled by the live run (empty for sim): the section report.h renders.
   TransportSnapshot transport;
 
   [[nodiscard]] double sampling_success() const noexcept {
     return nodes == 0 ? 0.0
                       : static_cast<double>(sampled) / static_cast<double>(nodes);
-  }
-  [[nodiscard]] double consolidation_success() const noexcept {
-    return nodes == 0 ? 0.0
-                      : static_cast<double>(consolidated) /
-                            static_cast<double>(nodes);
   }
   /// Seed cells that made it to a receiver, relative to cells dispatched.
   [[nodiscard]] double seed_delivery_ratio() const noexcept {
@@ -84,20 +76,21 @@ struct SlotOutcome {
 
 /// Side-by-side run of both backends plus the parity verdict. Tolerances
 /// (docs/UDP.md "Sim-vs-live parity"): the live backend must deliver at
-/// least `delivery_tol` of the sim twin's seed-cell delivery ratio, and its
-/// sampling-success rate may trail the sim twin's by at most `success_tol`.
+/// least `kDeliveryTol` of the sim twin's seed-cell delivery ratio, and its
+/// sampling-success rate may trail the sim twin's by at most `kSuccessTol`.
 struct ParityReport {
+  static constexpr double kDeliveryTol = 0.99;
+  static constexpr double kSuccessTol = 0.02;
+
   SlotOutcome live;
   SlotOutcome sim;
-  double delivery_tol = 0.99;
-  double success_tol = 0.02;
 
   [[nodiscard]] bool delivery_ok() const noexcept {
     return live.seed_delivery_ratio() >=
-           sim.seed_delivery_ratio() * delivery_tol;
+           sim.seed_delivery_ratio() * kDeliveryTol;
   }
   [[nodiscard]] bool success_ok() const noexcept {
-    return live.sampling_success() >= sim.sampling_success() - success_tol;
+    return live.sampling_success() >= sim.sampling_success() - kSuccessTol;
   }
   /// Hard invariants of the bugfix, independent of tolerance: no kernel
   /// rejections and no undecodable datagrams on loopback.

@@ -25,11 +25,6 @@ inline void print_summary(const std::string& label, const util::Samples& s,
   print_summary(label, s.summary(), unit);
 }
 
-/// Renders one figure series (summary row) from a snapshot.
-inline void print_series(const SeriesSnapshot& s) {
-  print_summary(s.name, s.summary, s.unit);
-}
-
 /// Prints a CDF as "value fraction" rows (default 20 points) — the series
 /// behind the paper's distribution plots.
 inline void print_cdf(const std::string& label, const util::Samples& s,
@@ -99,11 +94,8 @@ inline void print_hardening(const ResultsSnapshot& s) {
 
 /// Live-backend transport section: per-class traffic decomposition (the same
 /// rows a sim run derives from TypedTrafficStats) plus the failure counters
-/// that make silent datagram loss impossible. Prints nothing for simulator
-/// snapshots (transport.live == false), keeping sim output unchanged.
-inline void print_transport(const ResultsSnapshot& s) {
-  const auto& t = s.transport;
-  if (!t.live) return;
+/// that make silent datagram loss impossible.
+inline void print_transport(const TransportSnapshot& t) {
   std::printf("  Live transport (udp, %llu endpoints):\n",
               static_cast<unsigned long long>(t.endpoints));
   std::printf("    %-10s %12s %12s %14s %14s %12s %12s\n", "class",

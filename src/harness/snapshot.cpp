@@ -30,7 +30,6 @@ void write_cell(obs::JsonWriter& w, std::string_view name, const TableCell& c) {
 
 TransportSnapshot transport_snapshot_of(const net::UdpTransport& transport) {
   TransportSnapshot out;
-  out.live = true;
   out.endpoints = transport.endpoint_count();
   out.send_failures = transport.send_failures();
   out.emsgsize_failures = transport.emsgsize_failures();
@@ -175,33 +174,6 @@ void ResultsSnapshot::write_json(std::FILE* out) const {
   w.kv("bytes_per_slot", builder_bytes_per_slot);
   w.kv("msgs_per_slot", builder_msgs_per_slot);
   w.end_object();
-  // The transport block exists only for live (real-socket) runs: simulator
-  // exports stay byte-identical with the live backend present or absent.
-  if (transport.live) {
-    w.key("transport");
-    w.begin_object();
-    w.kv("backend", std::string("udp"));
-    w.kv("endpoints", transport.endpoints);
-    w.kv("send_failures", transport.send_failures);
-    w.kv("emsgsize_failures", transport.emsgsize_failures);
-    w.kv("oversize_fragments", transport.oversize_fragments);
-    w.kv("decode_failures", transport.decode_failures);
-    w.key("by_class");
-    w.begin_array();
-    for (const auto& c : transport.by_class) {
-      w.begin_object();
-      w.kv("class", c.name);
-      w.kv("msgs_sent", c.msgs_sent);
-      w.kv("msgs_received", c.msgs_received);
-      w.kv("bytes_sent", c.bytes_sent);
-      w.kv("bytes_received", c.bytes_received);
-      w.kv("cells_sent", c.cells_sent);
-      w.kv("cells_received", c.cells_received);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
 
   w.key("series");
   w.begin_array();

@@ -55,12 +55,9 @@ struct TransportClassSnapshot {
   std::uint64_t cells_received = 0;
 };
 
-/// Live-backend transport block: traffic decomposition plus the drop /
-/// failure counters that make silent loss impossible (docs/UDP.md). `live`
-/// gates both the JSON block and the console section, so simulator exports
-/// stay byte-identical to builds without the live backend.
+/// Live-backend transport counters: traffic decomposition plus the drop /
+/// failure counters that make silent loss impossible (docs/UDP.md).
 struct TransportSnapshot {
-  bool live = false;
   std::uint64_t endpoints = 0;
   std::uint64_t send_failures = 0;      ///< sendto() rejected by the kernel
   std::uint64_t emsgsize_failures = 0;  ///< the EMSGSIZE subset
@@ -103,9 +100,6 @@ struct ResultsSnapshot {
   }
   std::vector<SeriesSnapshot> series;
   std::vector<RoundRowSnapshot> table1;
-  /// Live-backend transport counters; default-constructed (live = false,
-  /// omitted everywhere) for simulator runs.
-  TransportSnapshot transport;
 
   /// Series lookup by name; an empty placeholder when absent, so renderers
   /// can print unconditional rows.

@@ -6,6 +6,13 @@
 
 namespace pandas::net {
 
+namespace {
+
+/// Bytes of UDP/IP framing charged per packet.
+constexpr std::uint32_t kPerPacketOverhead = 28;
+
+}  // namespace
+
 void TypedTrafficStats::merge(const TypedTrafficStats& other) noexcept {
   for (std::size_t i = 0; i < by_class.size(); ++i) {
     auto& dst = by_class[i];
@@ -191,7 +198,7 @@ void SimTransport::send(NodeIndex from, NodeIndex to, Message msg) {
   const std::uint32_t packets =
       std::max<std::uint32_t>(1, (payload + kPacketPayloadBytes - 1) / kPacketPayloadBytes);
   const std::uint64_t total_bytes =
-      payload + static_cast<std::uint64_t>(packets) * cfg_.per_packet_overhead;
+      payload + static_cast<std::uint64_t>(packets) * kPerPacketOverhead;
 
   auto& sstats = stats_[from];
   sstats.msgs_sent += 1;

@@ -27,11 +27,12 @@ namespace pandas::net {
 
 struct SimTransportConfig {
   double loss_rate = 0.03;
-  double node_up_bps = 25e6;
-  double node_down_bps = 25e6;
-  /// Bytes of UDP/IP framing charged per packet.
-  std::uint32_t per_packet_overhead = 28;
 };
+
+/// Uplink and downlink capacity of every node (§8.1)...
+inline constexpr double kNodeLinkBps = 25e6;
+/// ...and of the builder, a medium cloud instance (§4.1).
+inline constexpr double kBuilderLinkBps = 10e9;
 
 /// Per-node link-state chaos profile (fault injection orthogonal to node
 /// behaviors; docs/FAULTS.md "Network chaos"). Every field is static for the
@@ -119,7 +120,7 @@ class SimTransport final : public Transport,
   /// Returns its NodeIndex. All nodes must be added before first send.
   NodeIndex add_node(std::uint32_t vertex, double up_bps, double down_bps);
   NodeIndex add_node(std::uint32_t vertex) {
-    return add_node(vertex, cfg_.node_up_bps, cfg_.node_down_bps);
+    return add_node(vertex, kNodeLinkBps, kNodeLinkBps);
   }
 
   void send(NodeIndex from, NodeIndex to, Message msg) override;

@@ -6,18 +6,33 @@
 
 namespace pandas::sim {
 
+namespace {
+
+/// Spread of region centers in latency space (ms of one-way reach).
+constexpr double kRegionSigmaMs = 90.0;
+/// Concentration of vertex mass towards central (cloud) regions: weight of a
+/// region at distance d from the origin is exp(-d / kCloudBiasMs).
+constexpr double kCloudBiasMs = 32.0;
+/// RTT contributed per unit of embedded distance.
+constexpr double kDistanceFactor = 0.85;
+/// Fixed per-path RTT floor added before clamping (last-mile cost).
+constexpr double kBaseRttMs = 5.0;
+/// Max per-vertex jitter added to every path touching the vertex.
+constexpr double kVertexJitterMs = 5.0;
+
+}  // namespace
+
 Topology Topology::generate(const TopologyConfig& cfg, std::uint64_t seed) {
   Topology topo;
-  topo.cfg_ = cfg;
   util::Xoshiro256 rng(util::mix64(seed ^ 0x70706f6c6f677931ULL));
 
   // Region centers: gaussian cloud around the origin.
   std::vector<double> rx(cfg.regions), ry(cfg.regions), rw(cfg.regions);
   for (std::uint32_t r = 0; r < cfg.regions; ++r) {
-    rx[r] = rng.normal(0.0, cfg.region_sigma_ms);
-    ry[r] = rng.normal(0.0, cfg.region_sigma_ms);
+    rx[r] = rng.normal(0.0, kRegionSigmaMs);
+    ry[r] = rng.normal(0.0, kRegionSigmaMs);
     const double d = std::hypot(rx[r], ry[r]);
-    rw[r] = std::exp(-d / cfg.cloud_bias_ms);
+    rw[r] = std::exp(-d / kCloudBiasMs);
   }
   const double wsum = std::accumulate(rw.begin(), rw.end(), 0.0);
 
@@ -38,22 +53,22 @@ Topology Topology::generate(const TopologyConfig& cfg, std::uint64_t seed) {
     // Vertices scatter a few ms around their region center.
     topo.x_[v] = rx[r] + rng.normal(0.0, 4.0);
     topo.y_[v] = ry[r] + rng.normal(0.0, 4.0);
-    topo.jitter_ms_[v] = rng.uniform01() * cfg.vertex_jitter_ms;
+    topo.jitter_ms_[v] = rng.uniform01() * kVertexJitterMs;
   }
   return topo;
 }
 
 double Topology::rtt_ms(std::uint32_t u, std::uint32_t v) const noexcept {
-  if (u == v) return cfg_.min_rtt_ms;
+  if (u == v) return kMinRttMs;
   const double dist = std::hypot(x_[u] - x_[v], y_[u] - y_[v]);
-  const double raw = cfg_.base_rtt_ms + cfg_.distance_factor * dist +
+  const double raw = kBaseRttMs + kDistanceFactor * dist +
                      jitter_ms_[u] + jitter_ms_[v];
-  return std::clamp(raw, cfg_.min_rtt_ms, cfg_.max_rtt_ms);
+  return std::clamp(raw, kMinRttMs, kMaxRttMs);
 }
 
 double Topology::avg_rtt_ms(std::uint32_t v, std::uint32_t sample_size) const {
   const std::uint32_t n = vertex_count();
-  if (n <= 1) return cfg_.min_rtt_ms;
+  if (n <= 1) return kMinRttMs;
   // Deterministic stratified sample: every (n / sample_size)-th vertex.
   const std::uint32_t step = std::max<std::uint32_t>(1, n / sample_size);
   double sum = 0.0;
@@ -63,7 +78,7 @@ double Topology::avg_rtt_ms(std::uint32_t v, std::uint32_t sample_size) const {
     sum += rtt_ms(v, u);
     ++count;
   }
-  return count > 0 ? sum / count : cfg_.min_rtt_ms;
+  return count > 0 ? sum / count : kMinRttMs;
 }
 
 std::vector<std::uint32_t> Topology::best_vertices(double fraction) const {

@@ -22,22 +22,13 @@
 /// the trace's 64 ms.
 namespace pandas::sim {
 
+/// Support of the trace's pairwise RTTs: every rtt_ms() is clamped to it.
+inline constexpr double kMinRttMs = 8.0;
+inline constexpr double kMaxRttMs = 438.0;
+
 struct TopologyConfig {
   std::uint32_t vertices = 10'000;
   std::uint32_t regions = 24;
-  double min_rtt_ms = 8.0;
-  double max_rtt_ms = 438.0;
-  /// Spread of region centers in latency space (ms of one-way reach).
-  double region_sigma_ms = 90.0;
-  /// Concentration of vertex mass towards central (cloud) regions: weight of
-  /// a region at distance d from the origin is exp(-d / cloud_bias_ms).
-  double cloud_bias_ms = 32.0;
-  /// RTT contributed per unit of embedded distance.
-  double distance_factor = 0.85;
-  /// Fixed per-path RTT floor added before clamping (last-mile cost).
-  double base_rtt_ms = 5.0;
-  /// Max per-vertex jitter added to every path touching the vertex.
-  double vertex_jitter_ms = 5.0;
 };
 
 class Topology {
@@ -58,11 +49,11 @@ class Topology {
   }
 
   /// Lower bound on owd() over every vertex pair: rtt_ms() clamps to
-  /// min_rtt_ms from below, so no message ever travels faster than this.
+  /// kMinRttMs from below, so no message ever travels faster than this.
   /// This is the lookahead the parallel engine's safe windows derive from
   /// (docs/SIMULATION.md "Parallel execution").
   [[nodiscard]] Time min_owd() const noexcept {
-    return from_ms(cfg_.min_rtt_ms * 0.5);
+    return from_ms(kMinRttMs * 0.5);
   }
 
   /// Average RTT from `v` to a deterministic sample of other vertices.
@@ -79,10 +70,7 @@ class Topology {
     return region_[v];
   }
 
-  [[nodiscard]] const TopologyConfig& config() const noexcept { return cfg_; }
-
  private:
-  TopologyConfig cfg_;
   std::vector<double> x_, y_;        // embedded vertex coordinates
   std::vector<double> jitter_ms_;    // per-vertex jitter contribution
   std::vector<std::uint32_t> region_;

@@ -212,8 +212,7 @@ TEST(FaultPlan, LinkAxesDoNotPerturbBehaviorDraw) {
 // ----------------------------------------------------------- PeerReputation
 
 TEST(PeerReputation, CorruptReplyGreylistsOutright) {
-  core::ProtocolParams params;  // corrupt +8 == threshold 8: one strike
-  core::PeerReputation rep(params);
+  core::PeerReputation rep;  // corrupt +8 == threshold 8: one strike
   EXPECT_DOUBLE_EQ(rep.weight(7), 1.0);
   EXPECT_FALSE(rep.greylisted(7, sim::kSecond));
   // Proof forgery is never an accident: the first forged reply greylists.
@@ -223,7 +222,7 @@ TEST(PeerReputation, CorruptReplyGreylistsOutright) {
   EXPECT_EQ(rep.greylist_events(), 1u);
   // Term expiry is lazy and halves the penalty (forgiveness, not amnesty);
   // the next forgery re-greylists immediately.
-  const sim::Time after = sim::kSecond + params.rep_greylist_duration;
+  const sim::Time after = sim::kSecond + core::kRepGreylistDuration;
   EXPECT_FALSE(rep.greylisted(7, after));
   EXPECT_DOUBLE_EQ(rep.penalty(7), 4.0);
   EXPECT_TRUE(rep.record_corrupt(7, after));
@@ -232,16 +231,15 @@ TEST(PeerReputation, CorruptReplyGreylistsOutright) {
 }
 
 TEST(PeerReputation, TimeoutsAreWeakAndSuccessRecovers) {
-  core::ProtocolParams params;
-  core::PeerReputation rep(params);
+  core::PeerReputation rep;
   for (int i = 0; i < 4; ++i) rep.record_timeout(3, 0);
-  EXPECT_DOUBLE_EQ(rep.penalty(3), 4 * params.rep_timeout_penalty);
+  EXPECT_DOUBLE_EQ(rep.penalty(3), 4 * core::kRepTimeoutPenalty);
   EXPECT_EQ(rep.timeout_events(), 4u);
   EXPECT_FALSE(rep.greylisted(3, 0));
   // A late reply redeems one charged timeout (the peer was consolidating,
   // not dead); further redemptions are capped by what was actually charged.
   rep.redeem_timeout(3);
-  EXPECT_DOUBLE_EQ(rep.penalty(3), 3 * params.rep_timeout_penalty);
+  EXPECT_DOUBLE_EQ(rep.penalty(3), 3 * core::kRepTimeoutPenalty);
   // Useful replies work the penalty back down, floored at zero.
   for (int i = 0; i < 10; ++i) rep.record_success(3);
   EXPECT_DOUBLE_EQ(rep.penalty(3), 0.0);

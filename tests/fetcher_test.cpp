@@ -398,7 +398,7 @@ TEST(FetcherHedging, HedgedPairChargesAndRedeemsSlowPeerExactlyOnce) {
   // must not redeem further.
   World w;
   w.params.hedging = true;
-  PeerReputation rep(w.params);
+  PeerReputation rep;
   PeerRtt rtt;
   rtt.set_prior([](std::uint32_t) { return 25.0; });
   auto f = std::make_shared<AdaptiveFetcher>(w.engine, w.params, *w.table,
@@ -433,7 +433,7 @@ TEST(FetcherHedging, HedgedPairChargesAndRedeemsSlowPeerExactlyOnce) {
   // peer only (the hedge target replied in time).
   w.engine.run_until(500 * sim::kMillisecond);
   EXPECT_EQ(rep.timeout_events(), 1u);
-  EXPECT_DOUBLE_EQ(rep.penalty(slow), w.params.rep_timeout_penalty);
+  EXPECT_DOUBLE_EQ(rep.penalty(slow), kRepTimeoutPenalty);
 
   // The slow peer finally replies (late, duplicate data): the one charge is
   // redeemed...

@@ -182,8 +182,8 @@ TEST_P(TopologyProperty, InvariantsAcrossSeeds) {
     const auto u = static_cast<std::uint32_t>(rng.uniform(cfg.vertices));
     const auto v = static_cast<std::uint32_t>(rng.uniform(cfg.vertices));
     const double rtt = topo.rtt_ms(u, v);
-    EXPECT_GE(rtt, cfg.min_rtt_ms);
-    EXPECT_LE(rtt, cfg.max_rtt_ms);
+    EXPECT_GE(rtt, sim::kMinRttMs);
+    EXPECT_LE(rtt, sim::kMaxRttMs);
     EXPECT_DOUBLE_EQ(rtt, topo.rtt_ms(v, u));
     sum += rtt;
   }
